@@ -331,6 +331,47 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 }
 
+// ringToken is the typed event of BenchmarkKernelFixedDelay: a token
+// arriving at ring position i0 passes straight on to the next position.
+func ringToken(a0, a1 any, i0 int64) {
+	k := a0.(*sim.Kernel)
+	k.AfterCall(15*sim.Nanosecond, ringToken, k, nil, (i0+1)%ringLinks)
+}
+
+// ringLinks is the number of links (and circulating tokens) in
+// BenchmarkKernelFixedDelay's ring: about a 16-node butterfly's pending
+// event count.
+const ringLinks = 192
+
+// BenchmarkKernelFixedDelay measures dispatch of a token-ring-shaped
+// stream: ringLinks tokens circulate forever, each dispatch scheduling
+// the next hop one fixed link latency ahead — the shape of timestamp
+// snooping's token and per-hop traffic. "lanes" declares the latency,
+// so every event rides a FIFO lane; "heap" leaves it undeclared, so
+// every event sifts through the 4-ary heap.
+func BenchmarkKernelFixedDelay(b *testing.B) {
+	for _, declare := range []bool{true, false} {
+		name := "heap"
+		if declare {
+			name = "lanes"
+		}
+		b.Run(name, func(b *testing.B) {
+			k := sim.NewKernel()
+			if declare {
+				k.DeclareDelay(15 * sim.Nanosecond)
+			}
+			for i := int64(0); i < ringLinks; i++ {
+				k.AtCall(sim.Time(i), ringToken, k, nil, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
+	}
+}
+
 // BenchmarkTsnetBroadcast measures one ordered broadcast end to end on the
 // butterfly (21 link deliveries, 16 reorder insertions, ordering).
 func BenchmarkTsnetBroadcast(b *testing.B) {

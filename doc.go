@@ -36,8 +36,14 @@
 // subcommands hit the same store locally via -cache.
 //
 // The simulation core is allocation-free at steady state: the event
-// kernel is a hand-rolled 4-ary min-heap of inline events with a typed
-// (closure-free) scheduling path, the address network recycles
+// kernel keeps inline events with a typed (closure-free) scheduling
+// path in a hand-rolled 4-ary min-heap plus one FIFO lane per declared
+// fixed delay — tsnet's link latencies and network overhead, the L2
+// hit latency — so the token, per-hop and handoff traffic that
+// dominates a TS-Snoop run is queued and dispatched in O(1). Each lane
+// is sorted by construction (the clock never goes back, seq only
+// grows), so dispatching the minimum across the heap top and the lane
+// heads is exactly the heap-only order. The address network recycles
 // transaction copies through free lists and keeps switch and endpoint
 // state in dense, reused slices, and the protocols pool their payload
 // messages. The network's Verify/Trace instrumentation lives behind the

@@ -43,13 +43,16 @@ func (h HistSummary) Mean() int64 {
 
 // KernelMetrics profiles the event kernel: dispatch counts split by
 // path, per-kind counts tagged at subsystem call sites, the schedule
-// distance distribution, and the event-heap high-water mark.
+// distance distribution, and the pending-event high-water mark.
 type KernelMetrics struct {
-	TypedDispatches   int64       `json:"typed_dispatches"`
-	ClosureDispatches int64       `json:"closure_dispatches"`
-	HeapPeak          int64       `json:"heap_peak"`
-	ScheduleDelayPS   HistSummary `json:"schedule_delay_ps"`
-	Events            EventCounts `json:"events"`
+	TypedDispatches   int64 `json:"typed_dispatches"`
+	ClosureDispatches int64 `json:"closure_dispatches"`
+	// HeapPeak is the pending-event high-water mark: the most events
+	// ever waiting at once, in the heap and the fixed-delay lanes
+	// together, so it does not depend on which delays have lanes.
+	HeapPeak        int64       `json:"heap_peak"`
+	ScheduleDelayPS HistSummary `json:"schedule_delay_ps"`
+	Events          EventCounts `json:"events"`
 }
 
 // EventCounts breaks dispatches down by EventKind.

@@ -140,7 +140,7 @@ type Probe struct {
 	// Kernel-level.
 	typedDispatch   int64
 	closureDispatch int64
-	heapPeak        int64
+	pendingPeak     int64
 	scheduleDelay   Hist
 
 	// Per-event-kind dispatch counts, tagged at subsystem call sites.
@@ -201,7 +201,7 @@ func (p *Probe) SizeNetwork(linkLatPS []int64, switches int) {
 func (p *Probe) Reset() {
 	p.typedDispatch = 0
 	p.closureDispatch = 0
-	p.heapPeak = 0
+	p.pendingPeak = 0
 	p.scheduleDelay.reset()
 	for i := range p.kinds {
 		p.kinds[i] = 0
@@ -242,10 +242,11 @@ func (p *Probe) Dispatch(typed bool) {
 // was scheduled (t - now at schedule time, picoseconds).
 func (p *Probe) ScheduleDelay(ps int64) { p.scheduleDelay.Observe(ps) }
 
-// HeapDepth tracks the event heap's high-water mark.
-func (p *Probe) HeapDepth(n int) {
-	if int64(n) > p.heapPeak {
-		p.heapPeak = int64(n)
+// PendingDepth tracks the kernel's pending-event high-water mark: heap
+// plus fixed-delay lanes, so the peak does not depend on where events wait.
+func (p *Probe) PendingDepth(n int) {
+	if int64(n) > p.pendingPeak {
+		p.pendingPeak = int64(n)
 	}
 }
 
@@ -354,7 +355,7 @@ func (p *Probe) Finalize(runtimePS int64) *Metrics {
 		Kernel: KernelMetrics{
 			TypedDispatches:   p.typedDispatch,
 			ClosureDispatches: p.closureDispatch,
-			HeapPeak:          p.heapPeak,
+			HeapPeak:          p.pendingPeak,
 			ScheduleDelayPS:   p.scheduleDelay.summary(),
 			Events: EventCounts{
 				LinkTxn:        p.kinds[EvLinkTxn],

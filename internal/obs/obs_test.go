@@ -104,7 +104,7 @@ func TestResetKeepsNetworkShape(t *testing.T) {
 	p.LinkTxn(0)
 	p.TokenStall(0, 10)
 	p.MSHROcc(3)
-	p.HeapDepth(7)
+	p.PendingDepth(7)
 	p.Reset()
 	m := p.Finalize(1000)
 	if m.Kernel.TypedDispatches != 0 || m.Kernel.Events.LinkTxn != 0 ||

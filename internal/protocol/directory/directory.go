@@ -234,6 +234,8 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 		opts:   opts,
 		probe:  opts.Probe,
 	}
+	// Every L2 hit completes after the one hit latency: a kernel lane.
+	k.DeclareDelay(params.L2Hit)
 	p.dataBytes = timing.DataMsgBytes(opts.Cache.BlockBytes)
 	var ordered []int
 	if opts.Variant == Opt {

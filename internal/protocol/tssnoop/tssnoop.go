@@ -264,6 +264,8 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 		opts:   opts,
 		probe:  opts.Probe,
 	}
+	// Every L2 hit completes after the one hit latency: a kernel lane.
+	k.DeclareDelay(params.L2Hit)
 	p.dataBytes = timing.DataMsgBytes(opts.Cache.BlockBytes)
 	p.addr = tsnet.New(k, topo, opts.Net, &run.Traffic, run)
 	p.data = network.New(k, topo, params, &run.Traffic)

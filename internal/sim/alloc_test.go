@@ -56,6 +56,28 @@ func TestKernelAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("non-capturing closure schedule+dispatch allocates %v/op, want 0", a)
 	}
+	laneAllocs(t, k, &sum, "")
+}
+
+// laneAllocs pins the fixed-delay lane path of k at 0 allocs/op: once a
+// lane's ring has grown to its peak, scheduling onto it and dispatching
+// from it (mixed with heap events) allocates nothing.
+func laneAllocs(t *testing.T, k *Kernel, sum *int, what string) {
+	t.Helper()
+	k.DeclareDelay(15)
+	for i := 0; i < 64; i++ {
+		k.AfterCall(15, countEvent, sum, nil, 1)
+		k.AfterCall(Duration(i), countEvent, sum, nil, 1)
+	}
+	k.Run()
+	if a := testing.AllocsPerRun(1000, func() {
+		k.AfterCall(15, countEvent, sum, nil, 1)
+		k.AfterCall(3, countEvent, sum, nil, 1)
+		k.Step()
+		k.Step()
+	}); a != 0 {
+		t.Errorf("%slane+heap typed event schedule+dispatch allocates %v/op, want 0", what, a)
+	}
 }
 
 // TestKernelAllocsWithProbe pins the probes-on budget: the telemetry
@@ -77,6 +99,7 @@ func TestKernelAllocsWithProbe(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("instrumented typed event schedule+dispatch allocates %v/op, want 0", a)
 	}
+	laneAllocs(t, k, &sum, "instrumented ")
 }
 
 // Property: the hand-rolled 4-ary heap dispatches any interleaving of

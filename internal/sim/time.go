@@ -4,8 +4,9 @@
 // experiment harness.
 //
 // The kernel is intentionally small: a monotonically increasing simulated
-// clock, a binary-heap event queue with stable FIFO ordering for
-// same-timestamp events, and a seeded pseudo-random number generator so
+// clock; an event queue with stable FIFO ordering for same-timestamp
+// events, made of a 4-ary heap plus one FIFO lane per declared fixed
+// delay (see Kernel); and a seeded pseudo-random number generator so
 // that every run is exactly reproducible from its configuration.
 package sim
 

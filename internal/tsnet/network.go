@@ -213,6 +213,15 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 			toIndex:  int32(l.To.Index),
 		}
 	}
+	// Every link transit (a transaction copy's or a token's) and every
+	// handler handoff waits a fixed delay, so each distinct one gets a
+	// kernel lane and skips the event heap.
+	for i := range n.links {
+		k.DeclareDelay(n.links[i].lat)
+	}
+	if cfg.Params.Dovh > 0 {
+		k.DeclareDelay(cfg.Params.Dovh)
+	}
 	for _, sw := range topo.Switches() {
 		for pos, id := range sw.In {
 			n.links[id].inPos = int32(pos)
