@@ -5,18 +5,18 @@
 // streams, and a harness that regenerates every table and figure in the
 // paper's evaluation.
 //
-// The public surface is one declarative value: core.Spec names everything
+// The public surface is one declarative value: spec.Spec names everything
 // an experiment needs — benchmark, protocol, network, machine size, seeds,
 // phase quotas, and the design knobs — and is built with functional
-// options (core.New("OLTP", core.WithProtocol(core.TSSnoop),
-// core.WithNodes(32))), validated in one place, and round-trippable to
+// options (spec.New("OLTP", spec.WithProtocol(system.ProtoTSSnoop),
+// spec.WithNodes(32))), validated in one place, and round-trippable to
 // JSON and to a command-line flag set. Spec.Run executes it; grids and
-// sweeps run as Go iterators of cell results (harness StreamGrid /
-// StreamPoints) fed by the deterministic worker pool (internal/parallel),
-// so callers get live progress, early cancellation via context.Context,
-// and machine-readable results, while collecting a stream stays
-// byte-identical at any worker count. Figure and table renderers are pure
-// views over the streamed cells.
+// sweeps run as Go iterators of cell results (harness.FromSpec(s) then
+// StreamGrid / StreamPoints) fed by the deterministic worker pool
+// (internal/parallel), so callers get live progress, early cancellation
+// via context.Context, and machine-readable results, while collecting a
+// stream stays byte-identical at any worker count. Figure and table
+// renderers are pure views over the streamed cells.
 //
 // Workload streams can be captured to compact trace files and replayed
 // bit-exactly (internal/trace): a chunked, varint+delta-encoded format
@@ -35,20 +35,20 @@
 // points as NDJSON in presentation order. The run, grid, and sweep
 // subcommands hit the same store locally via -cache.
 //
-// The simulation core is allocation-free at steady state: the event
-// kernel keeps inline events with a typed (closure-free) scheduling
-// path in a hand-rolled 4-ary min-heap plus one FIFO lane per declared
-// fixed delay — tsnet's link latencies and network overhead, the L2
-// hit latency — so the token, per-hop and handoff traffic that
-// dominates a TS-Snoop run is queued and dispatched in O(1). Each lane
-// is sorted by construction (the clock never goes back, seq only
+// The simulation core is allocation-free at steady state: every kernel
+// event is typed (a package-level function and its arguments, never a
+// closure), held inline in a hand-rolled 4-ary min-heap or in one FIFO
+// lane per declared fixed delay — tsnet's link latencies and network
+// overhead, the L2 hit latency — so the token, per-hop and handoff traffic
+// that dominates a TS-Snoop run is queued and dispatched in O(1). Each
+// lane is sorted by construction (the clock never goes back, seq only
 // grows), so dispatching the minimum across the heap top and the lane
 // heads is exactly the heap-only order. The address network recycles
 // transaction copies through free lists and keeps switch and endpoint
 // state in dense, reused slices, and the protocols pool their payload
 // messages. The network's Verify/Trace instrumentation lives behind the
 // configuration and defaults off for experiment runs (re-enable with
-// -verify / core.WithVerify; results are identical either way).
+// -verify / spec.WithVerify; results are identical either way).
 // BENCH_5.json records the measured before/after numbers, and the
 // bench-regression CI job guards them via scripts/benchguard; see the
 // README's Performance section.
@@ -58,7 +58,7 @@
 // Verify hook, one branch per site when disabled — records dense-slice
 // counters and fixed log2-bucket histograms of kernel dispatch, link
 // utilization, buffer/reorder/MSHR occupancy, and token-stall behavior,
-// all keyed to simulated time, so the -metrics / core.WithMetrics block
+// all keyed to simulated time, so the -metrics / spec.WithMetrics block
 // in a run's JSON is byte-identical at any worker count. The knob
 // follows the Verify pattern through spec.Normalize: enabling telemetry
 // never changes a spec's canonical hash, and because the result store
@@ -70,7 +70,7 @@
 // "Observability" section; BENCH_7.json records the overhead envelope.
 //
 // Tracing extends both layers. Inside the simulator, -spans /
-// core.WithSpans decomposes every coherence transaction into lifecycle
+// spec.WithSpans decomposes every coherence transaction into lifecycle
 // phase spans (miss, order wait, data-after-order, address flight,
 // reorder and buffer dwell, data flight) recorded in simulated
 // picoseconds through the same nil-guarded probe sites — zero
@@ -102,8 +102,10 @@
 //
 // The command-line surface is the single cmd/tsnoop tool, whose
 // subcommands (run, grid, sweep, tables, check, trace, serve, submit,
-// version) all parse the same Spec flag set. The public entry point for
-// library use is internal/core; runnable examples live under examples/
-// (examples/spec_api walks the Spec API end to end). See README.md for
-// a quickstart.
+// version) all parse the same Spec flag set. Library callers use the
+// packages directly: spec (spec.New, spec.With*), harness
+// (harness.FromSpec for grids, sweeps and tables) and service
+// (service.New for the cached experiment service); runnable examples
+// live under examples/ (examples/spec_api walks the Spec API end to
+// end). See README.md for a quickstart.
 package tsnoop

@@ -8,14 +8,13 @@ import (
 	"fmt"
 	"log"
 
-	"tsnoop/internal/core"
 	"tsnoop/internal/harness"
 	"tsnoop/internal/system"
 )
 
 func main() {
 	log.SetFlags(0)
-	network := flag.String("network", core.Torus, "butterfly or torus")
+	network := flag.String("network", system.NetTorus, "butterfly or torus")
 	scale := flag.Float64("scale", 0.4, "workload scale factor (1.0 = full)")
 	flag.Parse()
 

@@ -1,30 +1,31 @@
 // Quickstart: run one OLTP simulation under timestamp snooping on the
 // 16-node butterfly and print its statistics, then contrast the same
 // workload under the classic directory protocol. Experiments are
-// declared as core.Spec values — build one with options, call Run.
+// declared as spec.Spec values — build one with options, call Run.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"tsnoop/internal/core"
+	"tsnoop/internal/spec"
+	"tsnoop/internal/system"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	// Scale the run down for a fast demo.
-	small := core.WithQuota(1500)
+	small := spec.WithQuota(1500)
 
-	snoop, err := core.New("OLTP", core.WithProtocol(core.TSSnoop), small).Run()
+	snoop, err := spec.New("OLTP", spec.WithProtocol(system.ProtoTSSnoop), small).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== OLTP on timestamp snooping (butterfly) ==")
 	fmt.Print(snoop.Summary())
 
-	dir, err := core.New("OLTP", core.WithProtocol(core.DirClassic), small).Run()
+	dir, err := spec.New("OLTP", spec.WithProtocol(system.ProtoDirClassic), small).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

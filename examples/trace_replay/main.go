@@ -11,7 +11,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"tsnoop/internal/core"
+	"tsnoop/internal/spec"
+	"tsnoop/internal/system"
 	"tsnoop/internal/trace"
 	"tsnoop/internal/workload"
 )
@@ -46,11 +47,11 @@ func main() {
 
 	// Replay: "trace:<path>" works anywhere a benchmark name does, and
 	// the trace carries its own phase quotas.
-	live, err := core.New("OLTP", core.WithWarmup(warmup), core.WithQuota(quota)).Run()
+	live, err := spec.New("OLTP", spec.WithWarmup(warmup), spec.WithQuota(quota)).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	replay, err := core.New("trace:" + path).Run()
+	replay, err := spec.New("trace:" + path).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 	if err := folded.WriteFile(foldedPath, 0); err != nil {
 		log.Fatal(err)
 	}
-	run8, err := core.New("trace:"+foldedPath, core.WithNetwork(core.Torus), core.WithNodes(8)).Run()
+	run8, err := spec.New("trace:"+foldedPath, spec.WithNetwork(system.NetTorus), spec.WithNodes(8)).Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package allocfree statically enforces the PR-5 zero-allocation
 // hot-path contract in the simulator's dispatch-critical packages:
 //
-//   - No closure may be scheduled through the legacy Kernel.At/After
-//     path: a func literal captures its environment and allocates on
-//     every scheduling. Hot code uses AtCall/AfterCall with a
-//     package-level sim.EventFn.
+//   - No func literal may be passed to Kernel.AtCall/AfterCall, as the
+//     EventFn or as an any argument: a func literal captures its
+//     environment and allocates on every scheduling. Hot code passes a
+//     package-level sim.EventFn, and a callback it must carry is a func
+//     value stored once (a method value kept on a struct).
 //   - The `any` payload arguments of AtCall/AfterCall accept only
 //     pointer-shaped values (pointers, interfaces, funcs, maps, chans,
 //     nil): boxing a struct, slice, string or integer into an interface
@@ -39,7 +40,7 @@ import (
 // Analyzer is the allocfree pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocfree",
-	Doc:  "forbid closure scheduling, interface boxing, map traffic and unhoisted probe calls on the simulator's allocation-free hot paths",
+	Doc:  "forbid scheduled func literals, interface boxing, map traffic and unhoisted probe calls on the simulator's allocation-free hot paths",
 	Run:  run,
 }
 
@@ -94,8 +95,8 @@ func run(pass *analysis.Pass) error {
 	}
 
 	// roots are the entry points of event dispatch: every function value
-	// scheduled through AtCall/AfterCall, plus the bodies of closures
-	// scheduled through At/After (flagged separately, but still walked so
+	// scheduled through AtCall/AfterCall, plus the bodies of func
+	// literals passed to them (flagged separately, but still walked so
 	// their map traffic is reported too).
 	roots := make(map[*types.Func]bool)
 	var closureRoots []*ast.FuncLit
@@ -107,28 +108,19 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			name, ok := kernelMethod(pass, call)
-			if !ok {
+			if !ok || len(call.Args) < 5 {
 				return true
 			}
-			switch name {
-			case "At", "After":
-				if len(call.Args) >= 2 {
-					if lit, ok := call.Args[1].(*ast.FuncLit); ok {
-						pass.Reportf(lit.Pos(),
-							"closure scheduled through the legacy Kernel.%s path allocates per event; use %sCall with a package-level sim.EventFn", name, name)
-						closureRoots = append(closureRoots, lit)
-					} else if fn := staticFunc(pass, call.Args[1]); fn != nil {
-						roots[fn] = true
-					}
-				}
-			case "AtCall", "AfterCall":
-				if len(call.Args) >= 5 {
-					if fn := staticFunc(pass, call.Args[1]); fn != nil {
-						roots[fn] = true
-					}
-					for _, arg := range call.Args[2:4] {
-						checkBoxing(pass, name, arg)
-					}
+			if fn := staticFunc(pass, call.Args[1]); fn != nil {
+				roots[fn] = true
+			}
+			for i, arg := range call.Args[1:4] {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					pass.Reportf(lit.Pos(),
+						"func literal passed to Kernel.%s allocates a closure per event; schedule a package-level sim.EventFn and pass stored values", name)
+					closureRoots = append(closureRoots, lit)
+				} else if i > 0 {
+					checkBoxing(pass, name, arg)
 				}
 			}
 			return true
@@ -241,7 +233,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // kernelMethod reports whether call invokes a scheduling method of
-// sim.Kernel, returning the method name.
+// sim.Kernel (AtCall or AfterCall), returning the method name.
 func kernelMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -264,7 +256,7 @@ func kernelMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch obj.Name() {
-	case "At", "After", "AtCall", "AfterCall":
+	case "AtCall", "AfterCall":
 		return obj.Name(), true
 	}
 	return "", false

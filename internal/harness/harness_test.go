@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tsnoop/internal/spec"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
 	"tsnoop/internal/workload"
@@ -16,6 +17,24 @@ func quick() Experiment {
 	e.QuotaScale = 0.15
 	e.WarmupScale = 0.4
 	return e
+}
+
+func TestDefaultExperimentSane(t *testing.T) {
+	e := Default()
+	if e.Nodes != 16 || e.Seeds < 1 {
+		t.Fatalf("experiment = %+v", e)
+	}
+}
+
+func TestFromSpecCarriesKnobs(t *testing.T) {
+	e := FromSpec(spec.New("OLTP", spec.WithNodes(4), spec.WithSeeds(2), spec.WithWorkers(1),
+		spec.WithQuotaScale(0.1), spec.WithMOSI()))
+	if e.Nodes != 4 || e.Seeds != 2 || e.Workers != 1 || e.QuotaScale != 0.1 {
+		t.Fatalf("experiment = %+v", e)
+	}
+	if e.Base == nil || !e.Base.MOSI {
+		t.Fatal("design knobs not carried into the experiment base")
+	}
 }
 
 func TestRunCellBasics(t *testing.T) {

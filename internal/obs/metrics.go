@@ -41,11 +41,15 @@ func (h HistSummary) Mean() int64 {
 	return h.Sum / h.Count
 }
 
-// KernelMetrics profiles the event kernel: dispatch counts split by
-// path, per-kind counts tagged at subsystem call sites, the schedule
-// distance distribution, and the pending-event high-water mark.
+// KernelMetrics profiles the event kernel: the dispatch count, per-kind
+// counts tagged at subsystem call sites, the schedule distance
+// distribution, and the pending-event high-water mark.
 type KernelMetrics struct {
-	TypedDispatches   int64 `json:"typed_dispatches"`
+	// TypedDispatches counts every dispatched event; all events are typed.
+	TypedDispatches int64 `json:"typed_dispatches"`
+	// ClosureDispatches is always 0: the kernel has no closure path. The
+	// field stays so the -metrics JSON and text keep their shape and
+	// existing readers of it still compile.
 	ClosureDispatches int64 `json:"closure_dispatches"`
 	// HeapPeak is the pending-event high-water mark: the most events
 	// ever waiting at once, in the heap and the fixed-delay lanes

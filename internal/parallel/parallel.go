@@ -7,9 +7,8 @@
 package parallel
 
 import (
+	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Workers normalizes a worker-count knob: values below 1 mean one worker
@@ -23,57 +22,17 @@ func Workers(n int) int {
 
 // Map evaluates fn(0) .. fn(n-1) across at most workers goroutines and
 // returns the results in index order. workers below 1 uses one worker per
-// CPU; one worker degenerates to a plain serial loop.
-//
-// On failure Map returns the error from the lowest failing index, and
-// jobs not yet claimed are skipped. The reported error is still
-// independent of goroutine scheduling: indexes are claimed in increasing
-// order, so by the time any job fails, every lower-indexed job — in
-// particular the lowest one that would fail — has already started and
-// will record its error before Map returns.
+// CPU; one worker degenerates to a plain serial loop. Map is a collector
+// over Stream and shares its contract: on failure it returns the error
+// from the lowest failing index and a nil slice, and jobs not yet
+// claimed are skipped.
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers = Workers(workers); workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := range out {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i], errs[i] = fn(i)
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	out := make([]T, 0, n)
+	for v, err := range Stream(context.Background(), workers, n, fn) {
 		if err != nil {
 			return nil, err
 		}
+		out = append(out, v)
 	}
 	return out, nil
 }

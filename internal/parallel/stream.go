@@ -9,10 +9,9 @@ import (
 
 // Stream evaluates fn(0) .. fn(n-1) across at most workers goroutines and
 // yields the results in index order as they become ready, so a consumer
-// sees live progress while later jobs are still running. It is the
-// streaming counterpart of Map and shares its determinism contract: the
-// yielded sequence is independent of the worker count and of goroutine
-// scheduling.
+// sees live progress while later jobs are still running. The yielded
+// sequence is independent of the worker count and of goroutine
+// scheduling; Map collects it into a slice.
 //
 // Yielding stops after the first (lowest-index) error — indexes are
 // claimed in increasing order, so by the time any job fails, every

@@ -22,10 +22,13 @@ func (f *fakeProto) Name() string { return "fake" }
 func (f *fakeProto) Pending() int { return 0 }
 func (f *fakeProto) Access(node int, op coherence.Op, b coherence.Block, done func(coherence.AccessResult)) {
 	f.calls++
-	hit := f.calls%2 == 0
-	f.k.After(f.lat, func() {
-		done(coherence.AccessResult{Hit: hit, Latency: f.lat})
-	})
+	f.k.AfterCall(f.lat, fakeDone, f, done, int64(f.calls%2))
+}
+
+// fakeDone completes a fakeProto access: a0 is the *fakeProto, a1 the
+// done callback, and i0 is 0 for a hit.
+func fakeDone(a0, a1 any, i0 int64) {
+	a1.(func(coherence.AccessResult))(coherence.AccessResult{Hit: i0 == 0, Latency: a0.(*fakeProto).lat})
 }
 
 func TestProcessorExecutesQuota(t *testing.T) {

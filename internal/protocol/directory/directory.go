@@ -188,9 +188,6 @@ type node struct {
 	// outstanding per node (blocking processors), so the value is reset
 	// and reused rather than allocated per miss.
 	mshrStore mshr
-
-	// hitQ buffers in-flight L2-hit completions.
-	hitQ coherence.HitQueue
 }
 
 // Protocol is one directory protocol instance over a topology.
@@ -315,8 +312,7 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 			n.cache.SetVersion(block, version)
 		}
 		p.oracle.Observe(nodeID, block, version)
-		n.hitQ.Push(done, coherence.AccessResult{Hit: true, Latency: p.params.L2Hit, Version: version})
-		p.k.AfterCall(p.params.L2Hit, coherence.DeliverHit, &n.hitQ, nil, 0)
+		p.k.AfterCall(p.params.L2Hit, deliverHit, p, done, int64(version))
 		if pr := p.probe; pr != nil {
 			pr.Event(obs.EvL2Hit)
 		}
@@ -364,6 +360,13 @@ func (p *Protocol) sendAt(at sim.Time, vnet, src, dst int, m msg) {
 		return
 	}
 	p.k.AtCall(at, sendMsgEvent, p, p.newMsg(m), int64(vnet)<<40|int64(src)<<20|int64(dst))
+}
+
+// deliverHit is the typed kernel event completing an L2 hit: a0 is the
+// Protocol, a1 the access's done callback, i0 the version observed.
+func deliverHit(a0, a1 any, i0 int64) {
+	p := a0.(*Protocol)
+	a1.(func(coherence.AccessResult))(coherence.AccessResult{Hit: true, Latency: p.params.L2Hit, Version: uint64(i0)})
 }
 
 // sendMsgEvent is the typed kernel event putting a ready message on the

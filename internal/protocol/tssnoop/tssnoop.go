@@ -217,9 +217,6 @@ type node struct {
 
 	// mshrStore is the node's single reusable MSHR (see mshr).
 	mshrStore mshr
-
-	// hitQ buffers in-flight L2-hit completions.
-	hitQ coherence.HitQueue
 }
 
 // Protocol is the timestamp snooping protocol over one topology.
@@ -383,8 +380,7 @@ func (p *Protocol) Access(nodeID int, op coherence.Op, block coherence.Block, do
 			n.cache.SetVersion(block, version)
 		}
 		p.oracle.Observe(nodeID, block, version)
-		n.hitQ.Push(done, coherence.AccessResult{Hit: true, Latency: p.params.L2Hit, Version: version})
-		p.k.AfterCall(p.params.L2Hit, coherence.DeliverHit, &n.hitQ, nil, 0)
+		p.k.AfterCall(p.params.L2Hit, deliverHit, p, done, int64(version))
 		if pr := p.probe; pr != nil {
 			pr.Event(obs.EvL2Hit)
 		}
@@ -436,6 +432,13 @@ func (p *Protocol) sendData(at sim.Time, src, dst int, m *dataMsg) {
 		at = p.k.Now()
 	}
 	p.k.AtCall(at, sendDataEvent, p, m, int64(src)<<32|int64(dst))
+}
+
+// deliverHit is the typed kernel event completing an L2 hit: a0 is the
+// Protocol, a1 the access's done callback, i0 the version observed.
+func deliverHit(a0, a1 any, i0 int64) {
+	p := a0.(*Protocol)
+	a1.(func(coherence.AccessResult))(coherence.AccessResult{Hit: true, Latency: p.params.L2Hit, Version: uint64(i0)})
 }
 
 // sendDataEvent is the typed kernel event putting a ready data message on

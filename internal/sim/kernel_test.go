@@ -5,15 +5,33 @@ import (
 	"testing/quick"
 )
 
+// appendEvent appends i0 to the *[]int in a0.
+func appendEvent(a0, a1 any, i0 int64) {
+	p := a0.(*[]int)
+	*p = append(*p, int(i0))
+}
+
+// nowEvent appends the dispatch time of the *Kernel in a0 to the
+// *[]Time in a1 and, when i0 > 0, schedules itself again i0 later.
+func nowEvent(a0, a1 any, i0 int64) {
+	k, p := a0.(*Kernel), a1.(*[]Time)
+	*p = append(*p, k.Now())
+	if i0 > 0 {
+		k.AfterCall(Duration(i0), nowEvent, k, p, 0)
+	}
+}
+
+func nopEvent(a0, a1 any, i0 int64) {}
+
 func TestKernelZeroValueUsable(t *testing.T) {
 	var k Kernel
 	if k.Now() != 0 {
 		t.Fatalf("zero kernel Now = %v, want 0", k.Now())
 	}
-	ran := false
-	k.After(5*Nanosecond, func() { ran = true })
+	ran := 0
+	k.AfterCall(5*Nanosecond, countEvent, &ran, nil, 1)
 	k.Run()
-	if !ran {
+	if ran != 1 {
 		t.Fatal("event did not run")
 	}
 	if k.Now() != 5*Nanosecond {
@@ -24,9 +42,9 @@ func TestKernelZeroValueUsable(t *testing.T) {
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(30, func() { order = append(order, 3) })
-	k.At(10, func() { order = append(order, 1) })
-	k.At(20, func() { order = append(order, 2) })
+	k.AtCall(30, appendEvent, &order, nil, 3)
+	k.AtCall(10, appendEvent, &order, nil, 1)
+	k.AtCall(20, appendEvent, &order, nil, 2)
 	k.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -40,8 +58,7 @@ func TestKernelFIFOAtSameTime(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		k.At(100, func() { order = append(order, i) })
+		k.AtCall(100, appendEvent, &order, nil, int64(i))
 	}
 	k.Run()
 	for i := range order {
@@ -54,10 +71,7 @@ func TestKernelFIFOAtSameTime(t *testing.T) {
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var hits []Time
-	k.At(10, func() {
-		hits = append(hits, k.Now())
-		k.After(5, func() { hits = append(hits, k.Now()) })
-	})
+	k.AtCall(10, nowEvent, k, &hits, 5)
 	k.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("hits = %v, want [10 15]", hits)
@@ -68,7 +82,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := Time(10); i <= 100; i += 10 {
-		k.At(i, func() { count++ })
+		k.AtCall(i, countEvent, &count, nil, 1)
 	}
 	k.RunUntil(50)
 	if count != 5 {
@@ -90,7 +104,7 @@ func TestKernelRunWhile(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := Time(1); i <= 100; i++ {
-		k.At(i, func() { count++ })
+		k.AtCall(i, countEvent, &count, nil, 1)
 	}
 	k.RunWhile(func() bool { return count < 7 })
 	if count != 7 {
@@ -100,14 +114,14 @@ func TestKernelRunWhile(t *testing.T) {
 
 func TestKernelPastSchedulingPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(100, func() {})
+	k.AtCall(100, nopEvent, nil, nil, 0)
 	k.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.At(50, func() {})
+	k.AtCall(50, nopEvent, nil, nil, 0)
 }
 
 func TestKernelNegativeDelayPanics(t *testing.T) {
@@ -117,13 +131,13 @@ func TestKernelNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	k.After(-1, func() {})
+	k.AfterCall(-1, nopEvent, nil, nil, 0)
 }
 
 func TestKernelExecutedCount(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 42; i++ {
-		k.At(Time(i), func() {})
+		k.AtCall(Time(i), nopEvent, nil, nil, 0)
 	}
 	k.Run()
 	if k.Executed() != 42 {
@@ -138,8 +152,7 @@ func TestKernelMonotonicProperty(t *testing.T) {
 		k := NewKernel()
 		var fired []Time
 		for _, v := range raw {
-			at := Time(v)
-			k.At(at, func() { fired = append(fired, k.Now()) })
+			k.AtCall(Time(v), nowEvent, k, &fired, 0)
 		}
 		k.Run()
 		for i := 1; i < len(fired); i++ {

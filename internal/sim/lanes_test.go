@@ -80,7 +80,7 @@ var diffDelays = []Duration{0, 1, 3, 5, 15, 15, 15, 40}
 var diffDeclared = []Duration{0, 15}
 
 // diffRec is one dispatch of the differential test: its time, its seq,
-// which scheduling path it took (0 typed, 1 closure) and its argument.
+// which EventFn ran (0 diffTyped, 1 diffOther) and its argument.
 type diffRec struct {
 	at  Time
 	seq uint64
@@ -109,9 +109,11 @@ func mix(x uint64) uint64 {
 
 func diffTyped(a0, a1 any, i0 int64) { a0.(*diffRun).fire(0, i0) }
 
-// schedule queues event number ids+1 d ahead, through one of the four
-// scheduling entry points picked by how; the test's ids mirror the
-// kernel's seq, which is checked here.
+func diffOther(a0, a1 any, i0 int64) { a0.(*diffRun).fire(1, i0) }
+
+// schedule queues event number ids+1 d ahead, through one of the two
+// scheduling entry points and one of the two EventFns picked by how;
+// the test's ids mirror the kernel's seq, which is checked here.
 func (r *diffRun) schedule(d Duration, how uint64) {
 	r.ids++
 	id := r.ids
@@ -122,9 +124,9 @@ func (r *diffRun) schedule(d Duration, how uint64) {
 	case 1:
 		k.AtCall(k.Now()+d, diffTyped, r, nil, id)
 	case 2:
-		k.After(d, func() { r.fire(1, id) })
+		k.AfterCall(d, diffOther, r, nil, id)
 	case 3:
-		k.At(k.Now()+d, func() { r.fire(1, id) })
+		k.AtCall(k.Now()+d, diffOther, r, nil, id)
 	}
 	if k.seq != uint64(id) {
 		r.seqOK = false
@@ -223,7 +225,7 @@ func TestKernelLanesCarryFixedDelays(t *testing.T) {
 	}
 	sum := 0
 	k.AfterCall(15, countEvent, &sum, nil, 1)
-	k.At(15, func() {})
+	k.AtCall(15, countEvent, &sum, nil, 0)
 	k.AfterCall(7, countEvent, &sum, nil, 1)
 	if len(k.events) != 1 || k.lanes[0].q.Len() != 2 || k.Pending() != 3 {
 		t.Fatalf("heap %d, lane %d, pending %d; want 1, 2, 3", len(k.events), k.lanes[0].q.Len(), k.Pending())

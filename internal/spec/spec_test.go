@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tsnoop/internal/system"
 )
 
 // varied returns a Spec with every field moved off its default, for
@@ -212,8 +214,23 @@ func TestRunSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Runtime <= 0 || run.MemOps != 4*120 {
-		t.Fatalf("bad run: runtime %v, mem ops %d", run.Runtime, run.MemOps)
+	if run.Runtime <= 0 || run.MemOps != 4*120 || run.TotalMisses() == 0 {
+		t.Fatalf("bad run: runtime %v, mem ops %d, misses %d", run.Runtime, run.MemOps, run.TotalMisses())
+	}
+	if !strings.Contains(run.Summary(), "misses") {
+		t.Fatal("summary malformed")
+	}
+}
+
+func TestLists(t *testing.T) {
+	if len(Benchmarks()) != 5 {
+		t.Fatalf("benchmarks = %v", Benchmarks())
+	}
+	if len(Protocols) != 3 || Protocols[0] != system.ProtoTSSnoop {
+		t.Fatalf("protocols = %v", Protocols)
+	}
+	if len(Networks) != 2 {
+		t.Fatalf("networks = %v", Networks)
 	}
 }
 

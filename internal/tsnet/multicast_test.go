@@ -40,40 +40,57 @@ func TestMulticastTrafficIsPrunedTree(t *testing.T) {
 	}
 }
 
+// mcastRec identifies one injected transaction.
+type mcastRec struct {
+	src int
+	seq uint64
+}
+
+// mcastInjector records the destination mask of every transaction
+// injectMaskEvent injects through it.
+type mcastInjector struct {
+	net    *Network
+	expect map[mcastRec]uint64
+}
+
+// injectMaskEvent injects a transaction from source i0&0xff to the
+// mask i0>>8 (zero broadcasts) through the *mcastInjector in a0.
+func injectMaskEvent(a0, a1 any, i0 int64) {
+	inj := a0.(*mcastInjector)
+	src, mask := int(i0&0xff), uint64(i0>>8)
+	if mask == 0 {
+		seq := inj.net.Inject(src, nil)
+		inj.expect[mcastRec{src, seq}] = ^uint64(0)
+		return
+	}
+	seq := inj.net.InjectTo(src, mask, nil)
+	inj.expect[mcastRec{src, seq}] = mask
+}
+
 func TestMulticastAndBroadcastShareOneOrder(t *testing.T) {
 	// Interleaved multicasts and broadcasts from many sources: every
 	// endpoint's subsequence must be consistent with one global order.
 	topo := topology.MustTorus(4, 4)
 	k, net, logs, _ := buildNet(t, topo, DefaultConfig())
 	rng := sim.NewRand(77)
-	type rec struct {
-		src int
-		seq uint64
-	}
-	expect := make(map[rec]uint64) // txn -> mask
+	inj := &mcastInjector{net: net, expect: make(map[mcastRec]uint64)} // txn -> mask
+	expect := inj.expect
 	for i := 0; i < 200; i++ {
 		at := sim.Time(rng.Int63n(int64(20 * sim.Microsecond)))
 		src := rng.Intn(16)
+		var mask uint64 // zero: broadcast
 		if rng.Bool(0.5) {
-			mask := uint64(1)<<uint(src) | uint64(1)<<uint(rng.Intn(16)) | uint64(1)<<uint(rng.Intn(16))
-			k.At(at, func() {
-				seq := net.InjectTo(src, mask, nil)
-				expect[rec{src, seq}] = mask
-			})
-		} else {
-			k.At(at, func() {
-				seq := net.Inject(src, nil)
-				expect[rec{src, seq}] = ^uint64(0)
-			})
+			mask = uint64(1)<<uint(src) | uint64(1)<<uint(rng.Intn(16)) | uint64(1)<<uint(rng.Intn(16))
 		}
+		k.AtCall(at, injectMaskEvent, inj, nil, int64(mask)<<8|int64(src))
 	}
 	k.RunUntil(30 * sim.Microsecond)
 
 	// Delivery sets match the masks exactly.
-	counts := map[rec]int{}
+	counts := map[mcastRec]int{}
 	for ep := range logs {
 		for _, pr := range logs[ep] {
-			r := rec{pr.src, pr.seq}
+			r := mcastRec{pr.src, pr.seq}
 			mask, ok := expect[r]
 			if !ok {
 				t.Fatalf("unknown delivery %+v", r)
@@ -99,11 +116,11 @@ func TestMulticastAndBroadcastShareOneOrder(t *testing.T) {
 	// Global order consistency: merge all endpoint logs; each pair of
 	// transactions co-delivered at two endpoints must appear in the same
 	// relative order at both.
-	pos := make([]map[rec]int, 16)
+	pos := make([]map[mcastRec]int, 16)
 	for ep := range logs {
-		pos[ep] = map[rec]int{}
+		pos[ep] = map[mcastRec]int{}
 		for i, pr := range logs[ep] {
-			pos[ep][rec{pr.src, pr.seq}] = i
+			pos[ep][mcastRec{pr.src, pr.seq}] = i
 		}
 	}
 	for a, maskA := range expect {

@@ -31,6 +31,15 @@ func buildNet(t *testing.T, topo *topology.Topology, cfg Config) (*sim.Kernel, *
 	return k, net, logs, run
 }
 
+// injectEvent broadcasts one transaction from source i0 on the *Network
+// in a0, counting it in the *int in a1 when that is non-nil.
+func injectEvent(a0, a1 any, i0 int64) {
+	a0.(*Network).Inject(int(i0), nil)
+	if n, ok := a1.(*int); ok {
+		*n++
+	}
+}
+
 func checkAgreement(t *testing.T, logs [][]procRec, wantLen int) {
 	t.Helper()
 	for ep := range logs {
@@ -163,7 +172,7 @@ func TestTotalOrderAgreementStress(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				at := sim.Time(rng.Int63n(int64(30 * sim.Microsecond)))
 				src := rng.Intn(topo.Nodes())
-				k.At(at, func() { net.Inject(src, nil); count++ })
+				k.AtCall(at, injectEvent, net, &count, int64(src))
 			}
 			k.RunUntil(40 * sim.Microsecond)
 			if count != 300 {
@@ -196,7 +205,7 @@ func TestTotalOrderUnderContention(t *testing.T) {
 				at := sim.Time(burst) * 400 * sim.Nanosecond
 				for j := 0; j < 6; j++ {
 					src := rng.Intn(topo.Nodes())
-					k.At(at, func() { net.Inject(src, nil) })
+					k.AtCall(at, injectEvent, net, nil, int64(src))
 				}
 			}
 			k.RunUntil(60 * sim.Microsecond)
@@ -356,7 +365,7 @@ func TestMoreTokensPerPort(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		at := sim.Time(rng.Int63n(int64(10 * sim.Microsecond)))
 		src := rng.Intn(16)
-		k.At(at, func() { net.Inject(src, nil) })
+		k.AtCall(at, injectEvent, net, nil, int64(src))
 	}
 	k.RunUntil(15 * sim.Microsecond)
 	checkAgreement(t, logs, 100)
