@@ -214,11 +214,53 @@ func TestRunSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Runtime <= 0 || run.MemOps != 4*120 || run.TotalMisses() == 0 {
-		t.Fatalf("bad run: runtime %v, mem ops %d, misses %d", run.Runtime, run.MemOps, run.TotalMisses())
+	if run.Runtime <= 0 || run.MemOps != 4*120 {
+		t.Fatalf("bad run: runtime %v, mem ops %d", run.Runtime, run.MemOps)
+	}
+}
+
+func TestSpecRunSmall(t *testing.T) {
+	run, err := New("barnes", WithProtocol("DirOpt"), WithNetwork("torus"),
+		WithWarmup(100), WithQuota(200)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Runtime <= 0 || run.TotalMisses() == 0 {
+		t.Fatalf("empty run: %+v", run)
 	}
 	if !strings.Contains(run.Summary(), "misses") {
 		t.Fatal("summary malformed")
+	}
+}
+
+func TestSpecRunUnknownBenchmark(t *testing.T) {
+	if _, err := New("tpc-w").Run(); err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+func TestSpecRunCustomNodes(t *testing.T) {
+	run, err := New("barnes", WithNodes(4), WithWarmup(100), WithQuota(150)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.MemOps != 4*150 {
+		t.Fatalf("mem ops = %d, want 600", run.MemOps)
+	}
+}
+
+func TestSpecRoundTripsThroughJSONAndArgs(t *testing.T) {
+	s := New("DSS", WithProtocol("DirClassic"), WithNetwork("torus"), WithSlack(4))
+	fromJSON, err := FromJSON(s.JSON())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromArgs, err := FromArgs(s.Args())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromJSON != s || fromArgs != s {
+		t.Fatalf("round trips differ:\n%+v\n%+v\n%+v", s, fromJSON, fromArgs)
 	}
 }
 
