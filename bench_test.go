@@ -440,6 +440,55 @@ func BenchmarkTsnetBroadcastProbed(b *testing.B) {
 	}
 }
 
+// BenchmarkTokenClock measures the address network's logical clock on
+// its own: an idle 16-endpoint network, no transactions, advancing 1 µs
+// of simulated time per iteration. events/phase is the kernel events
+// dispatched per 15 ns token phase: "bare" delivers each phase's
+// back-to-back token sends as one wave per link latency, "probe" (the
+// -metrics path) dispatches every token as its own event.
+func BenchmarkTokenClock(b *testing.B) {
+	topos := []struct {
+		name string
+		topo *topology.Topology
+	}{
+		{"butterfly", topology.MustButterfly(4)},
+		{"torus", topology.MustTorus(4, 4)},
+	}
+	for _, tc := range topos {
+		for _, probed := range []bool{false, true} {
+			name := tc.name + "/bare"
+			if probed {
+				name = tc.name + "/probe"
+			}
+			b.Run(name, func(b *testing.B) {
+				k := sim.NewKernel()
+				run := &stats.Run{}
+				cfg := tsnet.DefaultConfig()
+				cfg.Verify = false
+				if probed {
+					probe := obs.NewProbe()
+					k.SetProbe(probe)
+					cfg.Probe = probe
+				}
+				net := tsnet.New(k, tc.topo, cfg, &run.Traffic, run)
+				for ep := 0; ep < tc.topo.Nodes(); ep++ {
+					net.Register(ep, func(int, uint64, any, sim.Time) {}, nil)
+				}
+				net.Start()
+				k.RunUntil(sim.Microsecond)
+				start := k.Executed()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.RunUntil(k.Now() + sim.Microsecond)
+				}
+				phases := float64(b.N) * float64(sim.Microsecond) / float64(15*sim.Nanosecond)
+				b.ReportMetric(float64(k.Executed()-start)/phases, "events/phase")
+			})
+		}
+	}
+}
+
 // BenchmarkCacheOps measures L2 lookup+insert cost.
 func BenchmarkCacheOps(b *testing.B) {
 	c := cache.MustNew(cache.DefaultConfig())

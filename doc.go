@@ -43,9 +43,11 @@
 // that dominates a TS-Snoop run is queued and dispatched in O(1). Each
 // lane is sorted by construction (the clock never goes back, seq only
 // grows), so dispatching the minimum across the heap top and the lane
-// heads is exactly the heap-only order. The address network recycles
-// transaction copies through free lists and keeps switch and endpoint
-// state in dense, reused slices, and the protocols pool their payload
+// heads is exactly the heap-only order. The address network delivers
+// each run of back-to-back link transits as one wave event, replays its
+// token clock once an uncontended run's token state repeats, carries
+// transaction copies by value and keeps switch and endpoint state in
+// dense, reused slices, and the protocols pool their payload
 // messages. The network's Verify/Trace instrumentation lives behind the
 // configuration and defaults off for experiment runs (re-enable with
 // -verify / spec.WithVerify; results are identical either way).

@@ -225,3 +225,154 @@ func TestOwnedState(t *testing.T) {
 		t.Fatal("CountState(Owned)")
 	}
 }
+
+// refLine is the reference model's view of one resident block.
+type refLine struct {
+	state   State
+	version uint64
+}
+
+// refCache is the reference model of a true-LRU set-associative cache:
+// a map of resident blocks plus, per set, the resident blocks in LRU
+// order (least recently used first).
+type refCache struct {
+	sets    int
+	ways    int
+	lines   map[coherence.Block]refLine
+	lruList [][]coherence.Block
+}
+
+func newRefCache(sets, ways int) *refCache {
+	return &refCache{sets: sets, ways: ways, lines: map[coherence.Block]refLine{}, lruList: make([][]coherence.Block, sets)}
+}
+
+func (r *refCache) set(b coherence.Block) int { return int(uint64(b) % uint64(r.sets)) }
+
+// touch moves b to the most recently used end of its set.
+func (r *refCache) touch(b coherence.Block) {
+	s := r.set(b)
+	r.drop(b)
+	r.lruList[s] = append(r.lruList[s], b)
+}
+
+func (r *refCache) drop(b coherence.Block) {
+	s := r.set(b)
+	for i, x := range r.lruList[s] {
+		if x == b {
+			r.lruList[s] = append(r.lruList[s][:i], r.lruList[s][i+1:]...)
+			return
+		}
+	}
+}
+
+func (r *refCache) insert(b coherence.Block, s State, v uint64) (Victim, bool) {
+	if _, ok := r.lines[b]; ok {
+		r.lines[b] = refLine{s, v}
+		r.touch(b)
+		return Victim{}, false
+	}
+	var vic Victim
+	has := false
+	if set := r.set(b); len(r.lruList[set]) == r.ways {
+		old := r.lruList[set][0]
+		vic = Victim{Block: old, State: r.lines[old].state, Version: r.lines[old].version}
+		has = true
+		delete(r.lines, old)
+		r.drop(old)
+	}
+	r.lines[b] = refLine{s, v}
+	r.touch(b)
+	return vic, has
+}
+
+// TestCacheMatchesReferenceModel drives the cache and the reference
+// model with the same random operation stream and requires identical
+// answers from every operation.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	const sets, ways, blocks = 8, 4, 80
+	c := MustNew(Config{SizeBytes: sets * ways * 64, Ways: ways, BlockBytes: 64})
+	ref := newRefCache(sets, ways)
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	for op := 0; op < 200_000; op++ {
+		b := coherence.Block(next(blocks))
+		want, resident := ref.lines[b]
+		switch k := next(7); k {
+		case 0, 1:
+			s, v := c.Lookup(b)
+			if resident {
+				ref.touch(b)
+			}
+			if s != want.state || v != want.version {
+				t.Fatalf("op %d: Lookup(%d) = %v/%d, want %v/%d", op, b, s, v, want.state, want.version)
+			}
+		case 2:
+			s, v := c.Peek(b)
+			if s != want.state || v != want.version {
+				t.Fatalf("op %d: Peek(%d) = %v/%d, want %v/%d", op, b, s, v, want.state, want.version)
+			}
+		case 3, 4:
+			s := State(1 + next(3))
+			v := uint64(op)
+			gv, gok := c.Insert(b, s, v)
+			wv, wok := ref.insert(b, s, v)
+			if gv != wv || gok != wok {
+				t.Fatalf("op %d: Insert(%d) evicted %+v/%v, want %+v/%v", op, b, gv, gok, wv, wok)
+			}
+		case 5:
+			if !resident {
+				continue
+			}
+			s := State(next(4))
+			c.SetState(b, s)
+			if s == Invalid {
+				delete(ref.lines, b)
+				ref.drop(b)
+			} else {
+				ref.lines[b] = refLine{s, want.version}
+			}
+		case 6:
+			if !resident {
+				continue
+			}
+			c.SetVersion(b, uint64(op)<<8)
+			ref.lines[b] = refLine{want.state, uint64(op) << 8}
+		}
+		if op%997 == 0 {
+			got := map[coherence.Block]refLine{}
+			c.ForEach(func(b coherence.Block, s State, v uint64) {
+				if _, dup := got[b]; dup {
+					t.Fatalf("op %d: ForEach visits %d twice", op, b)
+				}
+				got[b] = refLine{s, v}
+			})
+			if len(got) != len(ref.lines) {
+				t.Fatalf("op %d: ForEach visits %d lines, want %d", op, len(got), len(ref.lines))
+			}
+			for b, l := range ref.lines {
+				if got[b] != l {
+					t.Fatalf("op %d: ForEach(%d) = %+v, want %+v", op, b, got[b], l)
+				}
+			}
+			for s := Invalid; s <= Modified; s++ {
+				want := 0
+				for _, l := range ref.lines {
+					if l.state == s {
+						want++
+					}
+				}
+				if s == Invalid {
+					want = sets*ways - len(ref.lines)
+				}
+				if n := c.CountState(s); n != want {
+					t.Fatalf("op %d: CountState(%v) = %d, want %d", op, s, n, want)
+				}
+			}
+		}
+	}
+}

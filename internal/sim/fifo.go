@@ -54,6 +54,11 @@ func (f *FIFO[T]) Pop() T {
 // Push or Pop.
 func (f *FIFO[T]) Front() *T { return &f.buf[f.head] }
 
+// Back returns a pointer to the newest element without removing it;
+// the queue must be non-empty and the pointer is valid until the next
+// Push or Pop.
+func (f *FIFO[T]) Back() *T { return &f.buf[(f.head+f.n-1)&(len(f.buf)-1)] }
+
 // Len reports the number of queued elements.
 func (f *FIFO[T]) Len() int { return f.n }
 

@@ -49,6 +49,12 @@ type event struct {
 // keep it as the lanes' oracle. Timestamp snooping's tokens, per-hop
 // transaction transits and ordered handoffs all travel fixed-latency
 // links, so nearly every event of a TS-Snoop run takes a lane.
+//
+// NewestOnLane reports a lane's newest pending event, read-only. While
+// an event is still its lane's newest, nothing else is scheduled for
+// its time, so a caller may append work to that event's payload instead
+// of scheduling another event: the address network batches its link
+// transits that way, without a second scheduling path.
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -105,6 +111,26 @@ func (k *Kernel) Pending() int {
 		n += k.lanes[i].q.Len()
 	}
 	return n
+}
+
+// NewestOnLane reports the seq of the newest pending event on the lane
+// of declared delay d — the one most recently scheduled d ahead and not
+// yet dispatched. ok is false when d has no lane or the lane is empty.
+//
+// It lets a caller batch deliveries exactly. Suppose the event e, at
+// time at = Now()+d, is still the newest on its lane. Then no event has
+// been scheduled for time at since e: an event scheduled at the current
+// time for time at is on this lane (its delay is d), and any event
+// scheduled at an earlier time carries a smaller seq than e. Work
+// appended to e's payload now would therefore have run immediately
+// after e had it been scheduled as its own event, and merging it into e
+// changes no dispatch order — only the number of events.
+func (k *Kernel) NewestOnLane(d Duration) (seq uint64, ok bool) {
+	q := k.lane(d)
+	if q == nil || q.Len() == 0 {
+		return 0, false
+	}
+	return q.Back().seq, true
 }
 
 // less orders events by (at, seq); seq is unique, so this is a strict

@@ -241,3 +241,44 @@ func TestKernelLanesCarryFixedDelays(t *testing.T) {
 	}()
 	k.DeclareDelay(-1)
 }
+
+// TestNewestOnLane checks the lane-tail accessor: it names the newest
+// pending event of a declared lane by seq, across ring wrap-around and
+// dispatches, and reports nothing for an empty or undeclared lane or
+// for events waiting in the heap.
+func TestNewestOnLane(t *testing.T) {
+	k := NewKernel()
+	k.DeclareDelay(15)
+	if _, ok := k.NewestOnLane(15); ok {
+		t.Fatal("empty lane reports a newest event")
+	}
+	if _, ok := k.NewestOnLane(7); ok {
+		t.Fatal("undeclared delay reports a newest event")
+	}
+	sum := 0
+	k.AfterCall(7, countEvent, &sum, nil, 1) // heap: not on any lane
+	if _, ok := k.NewestOnLane(7); ok {
+		t.Fatal("a heap event is reported as a lane's newest")
+	}
+	for i := 0; i < 100; i++ {
+		k.AfterCall(15, countEvent, &sum, nil, 1)
+		seq, ok := k.NewestOnLane(15)
+		if !ok || seq != k.seq {
+			t.Fatalf("after push %d: NewestOnLane = %d, %v; want %d, true", i, seq, ok, k.seq)
+		}
+		if i%3 == 2 {
+			k.Step() // pop the head; the newest stays put
+			if seq2, ok := k.NewestOnLane(15); !ok || seq2 != seq {
+				t.Fatalf("after a dispatch: NewestOnLane = %d, %v; want %d, true", seq2, ok, seq)
+			}
+		}
+	}
+	k.AfterCall(3, countEvent, &sum, nil, 1) // a newer event elsewhere changes nothing
+	if seq, _ := k.NewestOnLane(15); seq == k.seq {
+		t.Fatal("an event on another queue is reported as the lane's newest")
+	}
+	k.Run()
+	if _, ok := k.NewestOnLane(15); ok {
+		t.Fatal("drained lane reports a newest event")
+	}
+}

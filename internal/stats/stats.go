@@ -175,7 +175,11 @@ type Run struct {
 	// transaction's arrival at an endpoint and its logical processing.
 	OrderingDelay Latency
 
-	// ReorderOccupancy tracks endpoint priority-queue pressure.
+	// ReorderOccupancy tracks endpoint priority-queue pressure. It is
+	// one run-wide level that every endpoint overwrites with its own
+	// queue depth, so only its peak is meaningful, and the peak is the
+	// only value any output reads (the address network's token clock
+	// skips setting it to 0 on replayed ticks of empty queues).
 	ReorderOccupancy Occupancy
 
 	// Runtime is the simulated execution time of the run.

@@ -11,10 +11,10 @@ import (
 
 // TestBroadcastAllocs pins the allocation-free steady state of the
 // address network: an uncontended broadcast — injection, 21 link
-// deliveries, 16 reorder insertions, ordered handler handoffs, and the
-// token traffic interleaved with it — must not allocate once the free
-// lists and backing arrays are warm. Uninstrumented configuration
-// (Verify off), as experiment runs use.
+// deliveries in waves, 16 reorder insertions, ordered handler handoffs,
+// and the replayed token clock interleaved with it — must not allocate
+// once the free lists and backing arrays are warm. Uninstrumented
+// configuration (Verify off), as experiment runs use.
 func TestBroadcastAllocs(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
@@ -28,7 +28,7 @@ func TestBroadcastAllocs(t *testing.T) {
 	}
 	net.Start()
 	k.RunUntil(100 * sim.Nanosecond)
-	// Warm the pools: a few broadcasts populate the txn free list, the
+	// Warm the pools: a few broadcasts populate the wave free list, the
 	// reorder heaps, and the endpoint outboxes.
 	src := 0
 	for i := 0; i < 8; i++ {
@@ -46,6 +46,9 @@ func TestBroadcastAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state broadcast allocates %v/op, want 0", allocs)
+	}
+	if net.clock == nil || !net.clock.replaying {
+		t.Error("the pin does not cover the token clock's replay")
 	}
 }
 

@@ -19,17 +19,38 @@
 // them at their ordering time, identically ordered everywhere (ties broken
 // by source ID then per-source sequence).
 //
+// Every link transit, a token's or a transaction copy's, waits a fixed
+// latency, so the kernel would dispatch the transits sent in one event
+// onto links of one latency back to back. The network delivers each
+// such run as one kernel event, a wave (see wave), that runs the
+// transits in send order through the same arrival code. A send joins a
+// wave only while the wave is still the newest event on its latency's
+// kernel lane (sim.Kernel.NewestOnLane), so nothing can run between
+// its transits and the dispatch order is exactly the per-event one;
+// only the event count falls. Joining needs two more conditions: no
+// probe, which counts events, and a nonzero handler handoff delay Dovh
+// unlike every link latency, so a wave never runs protocol code that
+// could end a RunWhile loop in its middle. Otherwise every send is a
+// wave of one — the per-event path, through the same code, which the
+// differential tests keep as the oracle.
+//
+// In an uncontended network that forms waves, the token system runs on
+// its own and soon repeats; the token clock (see tokenClock) then
+// replays recorded token waves instead of propagating token by token,
+// checking each wave against the recording before applying it.
+//
 // The implementation is allocation-free at steady state: transaction
-// copies come from a free list and return to it when consumed, per-port
-// switch state lives in dense slices indexed by local port position,
-// the endpoint reorder queues are hand-rolled heaps of inline values,
-// and every hot-path event is a typed kernel event rather than a
-// closure. The Verify/Trace instrumentation fields live behind a debug
-// pointer that uninstrumented runs never touch.
+// copies travel by value inside recycled waves, per-port switch state
+// lives in dense slices indexed by local port position, the endpoint
+// reorder queues are hand-rolled heaps of inline values, and every
+// event is a typed kernel event rather than a closure. The
+// Verify/Trace instrumentation fields live behind a debug pointer that
+// uninstrumented runs never touch.
 package tsnet
 
 import (
 	"fmt"
+	"slices"
 
 	"tsnoop/internal/obs"
 	"tsnoop/internal/sim"
@@ -133,9 +154,8 @@ type txnDebug struct {
 // copy's path, so ordering times remain globally consistent between
 // multicasts and broadcasts.
 //
-// Uninstrumented copies (dbg == nil) are recycled through the Network's
-// free list the moment they are consumed — on switch fan-out and on
-// endpoint arrival — so a steady-state broadcast allocates nothing.
+// Copies travel by value, inline in the wave that carries them across
+// a link (see hop), so a steady-state broadcast allocates nothing.
 type txn struct {
 	src     int
 	seq     uint64
@@ -157,6 +177,7 @@ type linkMeta struct {
 	toIndex  int32
 	inPos    int32 // position in To-switch's In list (when toSwitch)
 	outPos   int32 // position in From-switch's Out list (when From is a switch)
+	lane     int32 // index of lat among the network's distinct link latencies
 }
 
 // Network is a timestamp-snooping address network over a topology.
@@ -173,10 +194,19 @@ type Network struct {
 	nextSeq   []uint64
 	links     []linkMeta
 
-	// txnPool recycles uninstrumented transaction copies. Instrumented
-	// copies (Verify/Trace) are never pooled: their debug state may
-	// outlive the copy in panic messages.
-	txnPool sim.Pool[txn]
+	// waves reports whether sends may join an open wave (see wave);
+	// when false every send is a wave of one. open[lane] is the wave
+	// most recently scheduled on each link-latency lane, laneLat[lane]
+	// its delay; freeWaves recycles dispatched waves with their slices'
+	// capacity.
+	waves     bool
+	open      []*wave
+	laneLat   []sim.Duration
+	freeWaves []*wave
+
+	// clock replays the token system of an uncontended network that
+	// forms waves (nil otherwise); see tokenClock.
+	clock *tokenClock
 
 	started bool
 
@@ -207,21 +237,33 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 	}
 	n.links = make([]linkMeta, len(topo.Links()))
 	for i, l := range topo.Links() {
+		lat := sim.Duration(l.Cost) * cfg.Params.Dswitch
+		lane := slices.Index(n.laneLat, lat)
+		if lane < 0 {
+			lane = len(n.laneLat)
+			n.laneLat = append(n.laneLat, lat)
+		}
 		n.links[i] = linkMeta{
-			lat:      sim.Duration(l.Cost) * cfg.Params.Dswitch,
+			lat:      lat,
 			toSwitch: l.To.Kind == topology.KindSwitch,
 			toIndex:  int32(l.To.Index),
+			lane:     int32(lane),
 		}
 	}
+	n.open = make([]*wave, len(n.laneLat))
 	// Every link transit (a transaction copy's or a token's) and every
 	// handler handoff waits a fixed delay, so each distinct one gets a
 	// kernel lane and skips the event heap.
-	for i := range n.links {
-		k.DeclareDelay(n.links[i].lat)
+	for _, d := range n.laneLat {
+		k.DeclareDelay(d)
 	}
 	if cfg.Params.Dovh > 0 {
 		k.DeclareDelay(cfg.Params.Dovh)
 	}
+	// Sends join waves only when a wave never runs protocol code — every
+	// handoff waits Dovh > 0 on a lane of its own — and no probe counts
+	// events: then merging changes nothing a caller can observe.
+	n.waves = n.probe == nil && cfg.Params.Dovh > 0 && !slices.Contains(n.laneLat, cfg.Params.Dovh)
 	for _, sw := range topo.Switches() {
 		for pos, id := range sw.In {
 			n.links[id].inPos = int32(pos)
@@ -239,9 +281,19 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 		}
 		n.probe.SizeNetwork(latPS, topo.NumSwitches())
 	}
+	ports := 0
+	for _, sw := range topo.Switches() {
+		ports += len(sw.In)
+	}
+	counters := make([]int, 0, ports)
 	n.switches = make([]*swState, topo.NumSwitches())
 	for i := range n.switches {
-		n.switches[i] = newSwState(n, i)
+		lo := len(counters)
+		counters = counters[:lo+len(topo.Switches()[i].In)]
+		n.switches[i] = newSwState(n, i, counters[lo:len(counters):len(counters)])
+	}
+	if n.waves && !cfg.Contention {
+		n.clock = newTokenClock(counters)
 	}
 	n.endpoints = make([]*epState, topo.Nodes())
 	for i := range n.endpoints {
@@ -252,18 +304,6 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 
 // instrumented reports whether transaction copies carry debug state.
 func (n *Network) instrumented() bool { return n.cfg.Verify || n.cfg.Trace }
-
-// newTxn returns a zeroed transaction copy, recycled when possible.
-func (n *Network) newTxn() *txn { return n.txnPool.Get() }
-
-// freeTxn recycles a consumed transaction copy. Instrumented copies are
-// left for the garbage collector: their debug history may be shared.
-func (n *Network) freeTxn(t *txn) {
-	if t.dbg != nil {
-		return
-	}
-	n.txnPool.Put(t)
-}
 
 // Register installs the ordered handler (required) and the optional peek
 // handler for endpoint ep.
@@ -370,13 +410,14 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 	// ticks: Dmax and every dD are scaled accordingly (k=1 reproduces the
 	// paper's presentation exactly).
 	k := n.cfg.TokensPerPort
-	t := n.newTxn()
-	t.src = src
-	t.seq = seq
-	t.slack = n.cfg.InitialSlack + tree.InjectDeltaD*k
-	t.mask = mask
-	t.payload = payload
-	t.sent = n.k.Now()
+	t := txn{
+		src:     src,
+		seq:     seq,
+		slack:   n.cfg.InitialSlack + tree.InjectDeltaD*k,
+		mask:    mask,
+		payload: payload,
+		sent:    n.k.Now(),
+	}
 	if n.instrumented() {
 		t.dbg = &txnDebug{}
 		if n.cfg.Verify {
@@ -392,49 +433,117 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 	return seq
 }
 
-// deliverTxn is the typed kernel event completing a transaction copy's
-// link transit: a0 is the Network, a1 the copy, i0 the LinkID.
-func deliverTxn(a0, a1 any, i0 int64) {
-	n := a0.(*Network)
-	t := a1.(*txn)
-	id := topology.LinkID(i0)
-	if p := n.probe; p != nil {
-		p.Event(obs.EvLinkTxn)
-		p.LinkTxn(int(id))
-	}
-	m := &n.links[id]
-	if m.toSwitch {
-		n.switches[m.toIndex].arriveTxn(id, t)
-	} else {
-		n.endpoints[m.toIndex].arriveTxn(t)
-	}
+// wave is one kernel event delivering a run of link transits that
+// complete at the same time on links of one latency: either tokens
+// (token wave) or transaction copies (hops), never both. A send joins
+// the newest wave on its latency's lane while that wave is still the
+// lane's newest pending event (sim.Kernel.NewestOnLane); the kernel
+// would have dispatched the sends back to back in that order, so the
+// wave runs them back to back in that order and no output changes.
+type wave struct {
+	at     sim.Time
+	seq    uint64
+	token  bool
+	tokens []topology.LinkID
+	hops   []hop
 }
 
-// sendOnLink schedules delivery of a transaction copy across a link.
-func (n *Network) sendOnLink(id topology.LinkID, t *txn) {
-	n.k.AfterCall(n.links[id].lat, deliverTxn, n, t, int64(id))
+// hop is one transaction copy crossing a link, held by value so the
+// copy needs no allocation or free list.
+type hop struct {
+	link topology.LinkID
+	t    txn
 }
 
-// deliverToken is the typed kernel event completing a token's link
-// transit: a0 is the Network, i0 the LinkID.
-func deliverToken(a0, a1 any, i0 int64) {
-	n := a0.(*Network)
-	id := topology.LinkID(i0)
-	if p := n.probe; p != nil {
-		p.Event(obs.EvLinkToken)
-		p.LinkToken(int(id))
-	}
-	m := &n.links[id]
-	if m.toSwitch {
-		n.switches[m.toIndex].arriveToken(int(m.inPos))
-	} else {
-		n.endpoints[m.toIndex].arriveToken()
-	}
+// sendOnLink sends a transaction copy across a link.
+func (n *Network) sendOnLink(id topology.LinkID, t txn) {
+	w := n.waveFor(id, false)
+	w.hops = append(w.hops, hop{link: id, t: t})
 }
 
-// sendToken schedules delivery of one token across a link.
+// sendToken sends one token across a link.
 func (n *Network) sendToken(id topology.LinkID) {
-	n.k.AfterCall(n.links[id].lat, deliverToken, n, nil, int64(id))
+	w := n.waveFor(id, true)
+	w.tokens = append(w.tokens, id)
+}
+
+// waveFor returns the wave a send on link id joins: the open wave of the
+// link's latency when it is of the same kind, due at the same time and
+// still the newest event on its lane, otherwise a freshly scheduled one.
+func (n *Network) waveFor(id topology.LinkID, token bool) *wave {
+	m := &n.links[id]
+	at := n.k.Now() + m.lat
+	if n.waves {
+		if w := n.open[m.lane]; w != nil && w.at == at && w.token == token {
+			if seq, ok := n.k.NewestOnLane(m.lat); ok && seq == w.seq {
+				return w
+			}
+		}
+	}
+	var w *wave
+	if k := len(n.freeWaves); k > 0 {
+		w = n.freeWaves[k-1]
+		n.freeWaves = n.freeWaves[:k-1]
+	} else {
+		w = &wave{}
+	}
+	w.at, w.token = at, token
+	n.k.AtCall(at, deliverWave, n, w, 0)
+	if n.waves {
+		w.seq, _ = n.k.NewestOnLane(m.lat)
+		n.open[m.lane] = w
+	}
+	return w
+}
+
+// deliverWave is the typed kernel event completing a wave's link
+// transits in send order: a0 is the Network, a1 the wave.
+func deliverWave(a0, a1 any, i0 int64) {
+	n := a0.(*Network)
+	w := a1.(*wave)
+	c := n.clock
+	if c != nil && w.token && c.replay(n, w) {
+		n.recycle(w)
+		return
+	}
+	p := n.probe
+	for _, id := range w.tokens {
+		if p != nil {
+			p.Event(obs.EvLinkToken)
+			p.LinkToken(int(id))
+		}
+		m := &n.links[id]
+		if m.toSwitch {
+			n.switches[m.toIndex].arriveToken(int(m.inPos))
+		} else {
+			n.endpoints[m.toIndex].arriveToken()
+		}
+	}
+	for i := range w.hops {
+		h := &w.hops[i]
+		if p != nil {
+			p.Event(obs.EvLinkTxn)
+			p.LinkTxn(int(h.link))
+		}
+		m := &n.links[h.link]
+		if m.toSwitch {
+			n.switches[m.toIndex].arriveTxn(h.link, &h.t)
+		} else {
+			n.endpoints[m.toIndex].arriveTxn(&h.t)
+		}
+	}
+	if c != nil && c.recorded {
+		c.finish(n)
+	}
+	n.recycle(w)
+}
+
+// recycle returns a dispatched wave to the free list, keeping its
+// slices' capacity; cleared hops retain no payloads.
+func (n *Network) recycle(w *wave) {
+	clear(w.hops)
+	w.tokens, w.hops = w.tokens[:0], w.hops[:0]
+	n.freeWaves = append(n.freeWaves, w)
 }
 
 // epState is an endpoint network interface: a one-input, one-output node
@@ -477,6 +586,16 @@ func (e *epState) arriveToken() {
 // order.
 func (e *epState) tick() {
 	e.gt++
+	e.drain()
+	if c := e.net.clock; c != nil && c.recorded {
+		c.actors = append(c.actors, -int32(e.id)-1)
+	}
+	e.net.sendToken(e.net.topo.EndpointOut(e.id))
+}
+
+// drain processes every queued transaction due before the endpoint's
+// guarantee time.
+func (e *epState) drain() {
 	for {
 		q, ok := e.queue.popDue(e.gt - 1)
 		if !ok {
@@ -490,7 +609,6 @@ func (e *epState) tick() {
 	if p := e.net.probe; p != nil {
 		p.ReorderOcc(e.queue.len())
 	}
-	e.net.sendToken(e.net.topo.EndpointOut(e.id))
 }
 
 func (e *epState) arriveTxn(t *txn) {
@@ -522,7 +640,6 @@ func (e *epState) arriveTxn(t *txn) {
 			if e.net.run != nil {
 				e.net.run.EarlyProcessed++
 			}
-			e.net.freeTxn(t)
 			return
 		}
 	}
@@ -548,7 +665,6 @@ func (e *epState) arriveTxn(t *txn) {
 		p.Span(obs.SpanAddrFlight, int32(e.id), obs.NetLane(obs.SpanAddrFlight), int32(t.src), t.seq,
 			int64(t.sent), int64(e.net.k.Now()-t.sent))
 	}
-	e.net.freeTxn(t)
 }
 
 // deliverOrdered is the typed kernel event completing a handler handoff

@@ -11,8 +11,8 @@ import (
 // bufEntry is one broadcast-branch copy of a transaction held in a
 // switch's (logically centralized) transaction buffer, waiting for its
 // output port. Entries are stored inline in the buffer slice — the
-// transaction's fields are copied in so the arriving copy can return to
-// the free list immediately.
+// transaction's fields are copied in, so nothing refers to the wave
+// that carried the arriving copy once it is recycled.
 type bufEntry struct {
 	branch  topology.Branch
 	slack   int
@@ -44,7 +44,7 @@ type swState struct {
 	in  []topology.LinkID // the switch's input links (shared with topology)
 	out []topology.LinkID // the switch's output links (shared with topology)
 
-	tokens []int // token counter per input port, indexed by In position
+	tokens []int // token counter per input port, indexed by In position (a window of the network's counters)
 
 	// routes[src] is the branch list a transaction from src takes at this
 	// switch (nil when the switch is not on src's broadcast tree),
@@ -64,14 +64,15 @@ type swState struct {
 	props uint64
 }
 
-func newSwState(n *Network, id int) *swState {
+// newSwState builds switch id with tokens as its counters.
+func newSwState(n *Network, id int, tokens []int) *swState {
 	spec := n.topo.Switches()[id]
 	s := &swState{
 		net:      n,
 		id:       id,
 		in:       spec.In,
 		out:      spec.Out,
-		tokens:   make([]int, len(spec.In)),
+		tokens:   tokens,
 		nextFree: make([]sim.Time, len(spec.Out)),
 		pending:  make([]bool, len(spec.Out)),
 		routes:   make([][]topology.Branch, n.topo.Nodes()),
@@ -134,20 +135,20 @@ func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 			s.depart(&e)
 		}
 	}
-	s.net.freeTxn(t)
 }
 
 // depart sends a branch copy on its output link, applying case 3 of the
 // recurrence: dD, the decrease in maximum remaining pipeline depth for
 // this branch relative to the longest branch.
 func (s *swState) depart(e *bufEntry) {
-	out := s.net.newTxn()
-	out.src = e.src
-	out.seq = e.seq
-	out.slack = e.slack + e.branch.DeltaD*s.net.cfg.TokensPerPort
-	out.mask = e.mask
-	out.payload = e.payload
-	out.sent = e.sent
+	out := txn{
+		src:     e.src,
+		seq:     e.seq,
+		slack:   e.slack + e.branch.DeltaD*s.net.cfg.TokensPerPort,
+		mask:    e.mask,
+		payload: e.payload,
+		sent:    e.sent,
+	}
 	if e.dbg != nil {
 		out.dbg = &txnDebug{ot: e.dbg.ot, cell: e.dbg.cell}
 		if s.net.cfg.Trace {
@@ -282,6 +283,9 @@ func (s *swState) tryPropagate() {
 		s.props++
 		if p := s.net.probe; p != nil {
 			p.TokenAdvance(s.id, int64(s.net.k.Now()))
+		}
+		if c := s.net.clock; c != nil && c.recorded {
+			c.actors = append(c.actors, int32(s.id))
 		}
 		for _, out := range s.out {
 			s.net.sendToken(out)
