@@ -2,6 +2,17 @@
 // 4-way set associative, 64-byte blocks in the paper's target system, with
 // true LRU replacement and MSI stable states. Transient (in-flight) states
 // live in the protocol controllers' MSHRs, not here.
+//
+// A machine's caches share one node-major store (NewGroup): the tags of
+// all nodes are one [set][node][way] array, allocated once, and the
+// rest of each way's bookkeeping sits at the same index of a parallel
+// array. A Cache is one node's view of it. Snooping puts the lookups of
+// one block by every node back to back — each node's handoff of an
+// ordered broadcast — and they all index the same set, so with 16 nodes
+// of 4 ways they read 512 contiguous bytes of tags instead of one host
+// cache line in each of 16 per-node arrays megabytes apart. Lookups by
+// one node alone, the only other kind, touch one 32-byte run of tags
+// either way.
 package cache
 
 import (
@@ -55,18 +66,21 @@ func (m *meta) state() State     { return State(m.use & 3) }
 func (m *meta) lastUse() uint64  { return m.use >> 2 }
 func (m *meta) setState(s State) { m.use = m.use&^3 | uint64(s) }
 
-// Cache is a set-associative cache indexed by block address.
+// Cache is a set-associative cache indexed by block address: one node's
+// view of its group's store.
 //
 // Every node snoops every broadcast, so most lookups miss: tags are kept
 // dense, apart from the rest of a way's bookkeeping, so that a miss in
 // a 4-way set reads one 32-byte run of tags — one host cache line — and
 // touches nothing else.
 type Cache struct {
-	// tags and meta hold every set back to back: set i is ways
-	// [i*ways, i*ways+ways). An invalid way keeps its stale tag, so a tag
-	// match counts only when its meta state is valid.
+	// tags and meta are the group's store: this node's ways of set i are
+	// [i*stride+off, i*stride+off+ways). An invalid way keeps its stale
+	// tag, so a tag match counts only when its meta state is valid.
 	tags    []coherence.Block
 	meta    []meta
+	stride  int // ways of one set across the group
+	off     int // this node's first way within a set
 	setMask uint64
 	ways    int
 	clock   uint64
@@ -90,26 +104,11 @@ func DefaultConfig() Config {
 
 // New constructs a cache. Geometry must be a power-of-two number of sets.
 func New(cfg Config) (*Cache, error) {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes <= 0 {
-		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
+	g, err := NewGroup(cfg, 1)
+	if err != nil {
+		return nil, err
 	}
-	nLines := cfg.SizeBytes / cfg.BlockBytes
-	if nLines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("cache: %d lines not divisible by %d ways", nLines, cfg.Ways)
-	}
-	nSets := nLines / cfg.Ways
-	if nSets&(nSets-1) != 0 {
-		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
-	}
-	c := &Cache{
-		tags:       make([]coherence.Block, nLines),
-		meta:       make([]meta, nLines),
-		setMask:    uint64(nSets - 1),
-		ways:       cfg.Ways,
-		blockBytes: cfg.BlockBytes,
-		sizeBytes:  cfg.SizeBytes,
-	}
-	return c, nil
+	return g[0], nil
 }
 
 // MustNew is New but panics on error.
@@ -121,6 +120,56 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
+// NewGroup constructs the caches of a machine of the given number of
+// nodes, all of geometry cfg, over one node-major store (see the
+// package doc). The caches are independent; only their layout is
+// shared.
+func NewGroup(cfg Config, nodes int) ([]*Cache, error) {
+	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.BlockBytes <= 0 {
+		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
+	}
+	if nodes < 1 {
+		return nil, fmt.Errorf("cache: group of %d nodes", nodes)
+	}
+	nLines := cfg.SizeBytes / cfg.BlockBytes
+	if nLines%cfg.Ways != 0 {
+		return nil, fmt.Errorf("cache: %d lines not divisible by %d ways", nLines, cfg.Ways)
+	}
+	nSets := nLines / cfg.Ways
+	if nSets&(nSets-1) != 0 {
+		return nil, fmt.Errorf("cache: %d sets is not a power of two", nSets)
+	}
+	// One allocation per array for the whole group: building per-node
+	// arrays first would only raise the peak footprint.
+	tags := make([]coherence.Block, nLines*nodes)
+	metas := make([]meta, nLines*nodes)
+	views := make([]Cache, nodes)
+	g := make([]*Cache, nodes)
+	for i := range views {
+		views[i] = Cache{
+			tags:       tags,
+			meta:       metas,
+			stride:     nodes * cfg.Ways,
+			off:        i * cfg.Ways,
+			setMask:    uint64(nSets - 1),
+			ways:       cfg.Ways,
+			blockBytes: cfg.BlockBytes,
+			sizeBytes:  cfg.SizeBytes,
+		}
+		g[i] = &views[i]
+	}
+	return g, nil
+}
+
+// MustNewGroup is NewGroup but panics on error.
+func MustNewGroup(cfg Config, nodes int) []*Cache {
+	g, err := NewGroup(cfg, nodes)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // BlockBytes returns the block size in bytes.
 func (c *Cache) BlockBytes() int { return c.blockBytes }
 
@@ -130,8 +179,8 @@ func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// base returns the index of the first way of b's set.
-func (c *Cache) base(b coherence.Block) int { return int(uint64(b)&c.setMask) * c.ways }
+// base returns the index of this node's first way of b's set.
+func (c *Cache) base(b coherence.Block) int { return int(uint64(b)&c.setMask)*c.stride + c.off }
 
 // find returns the meta of b's valid way, or nil when b is absent.
 func (c *Cache) find(b coherence.Block) *meta {
@@ -232,23 +281,27 @@ func (c *Cache) Insert(b coherence.Block, s State, version uint64) (Victim, bool
 	return evicted, has
 }
 
-// CountState returns how many resident lines are in state s (test support
-// and end-of-run invariant checks).
+// CountState returns how many lines of this cache are in state s (test
+// support and end-of-run invariant checks).
 func (c *Cache) CountState(s State) int {
 	n := 0
-	for i := range c.meta {
-		if c.meta[i].state() == s {
-			n++
+	for i := c.off; i < len(c.meta); i += c.stride {
+		for _, m := range c.meta[i : i+c.ways] {
+			if m.state() == s {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// ForEach invokes fn for every valid line.
+// ForEach invokes fn for every valid line of this cache, set by set.
 func (c *Cache) ForEach(fn func(b coherence.Block, s State, version uint64)) {
-	for i := range c.meta {
-		if m := &c.meta[i]; m.state() != Invalid {
-			fn(c.tags[i], m.state(), m.version)
+	for i := c.off; i < len(c.meta); i += c.stride {
+		for w := i; w < i+c.ways; w++ {
+			if m := &c.meta[w]; m.state() != Invalid {
+				fn(c.tags[w], m.state(), m.version)
+			}
 		}
 	}
 }

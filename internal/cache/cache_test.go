@@ -287,11 +287,25 @@ func (r *refCache) insert(b coherence.Block, s State, v uint64) (Victim, bool) {
 
 // TestCacheMatchesReferenceModel drives the cache and the reference
 // model with the same random operation stream and requires identical
-// answers from every operation.
+// answers from every operation: one cache alone, and the 4 caches of
+// one node-major group, interleaved, each against its own model — every
+// node's lines must stay apart from every other's in the shared store.
 func TestCacheMatchesReferenceModel(t *testing.T) {
-	const sets, ways, blocks = 8, 4, 80
-	c := MustNew(Config{SizeBytes: sets * ways * 64, Ways: ways, BlockBytes: 64})
-	ref := newRefCache(sets, ways)
+	const sets, ways = 8, 4
+	cfg := Config{SizeBytes: sets * ways * 64, Ways: ways, BlockBytes: 64}
+	t.Run("single", func(t *testing.T) { matchReferenceModels(t, []*Cache{MustNew(cfg)}, sets, ways) })
+	t.Run("group", func(t *testing.T) { matchReferenceModels(t, MustNewGroup(cfg, 4), sets, ways) })
+}
+
+// matchReferenceModels runs the random operation stream over caches,
+// picking the cache of each operation at random, against one reference
+// model per cache.
+func matchReferenceModels(t *testing.T, caches []*Cache, sets, ways int) {
+	const blocks = 80
+	refs := make([]*refCache, len(caches))
+	for i := range refs {
+		refs[i] = newRefCache(sets, ways)
+	}
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func(n int) int {
 		rng ^= rng << 13
@@ -300,6 +314,11 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 		return int(rng % uint64(n))
 	}
 	for op := 0; op < 200_000; op++ {
+		node := 0
+		if len(caches) > 1 {
+			node = next(len(caches))
+		}
+		c, ref := caches[node], refs[node]
 		b := coherence.Block(next(blocks))
 		want, resident := ref.lines[b]
 		switch k := next(7); k {
@@ -309,12 +328,12 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				ref.touch(b)
 			}
 			if s != want.state || v != want.version {
-				t.Fatalf("op %d: Lookup(%d) = %v/%d, want %v/%d", op, b, s, v, want.state, want.version)
+				t.Fatalf("op %d, node %d: Lookup(%d) = %v/%d, want %v/%d", op, node, b, s, v, want.state, want.version)
 			}
 		case 2:
 			s, v := c.Peek(b)
 			if s != want.state || v != want.version {
-				t.Fatalf("op %d: Peek(%d) = %v/%d, want %v/%d", op, b, s, v, want.state, want.version)
+				t.Fatalf("op %d, node %d: Peek(%d) = %v/%d, want %v/%d", op, node, b, s, v, want.state, want.version)
 			}
 		case 3, 4:
 			s := State(1 + next(3))
@@ -322,7 +341,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			gv, gok := c.Insert(b, s, v)
 			wv, wok := ref.insert(b, s, v)
 			if gv != wv || gok != wok {
-				t.Fatalf("op %d: Insert(%d) evicted %+v/%v, want %+v/%v", op, b, gv, gok, wv, wok)
+				t.Fatalf("op %d, node %d: Insert(%d) evicted %+v/%v, want %+v/%v", op, node, b, gv, gok, wv, wok)
 			}
 		case 5:
 			if !resident {
@@ -347,16 +366,16 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 			got := map[coherence.Block]refLine{}
 			c.ForEach(func(b coherence.Block, s State, v uint64) {
 				if _, dup := got[b]; dup {
-					t.Fatalf("op %d: ForEach visits %d twice", op, b)
+					t.Fatalf("op %d, node %d: ForEach visits %d twice", op, node, b)
 				}
 				got[b] = refLine{s, v}
 			})
 			if len(got) != len(ref.lines) {
-				t.Fatalf("op %d: ForEach visits %d lines, want %d", op, len(got), len(ref.lines))
+				t.Fatalf("op %d, node %d: ForEach visits %d lines, want %d", op, node, len(got), len(ref.lines))
 			}
 			for b, l := range ref.lines {
 				if got[b] != l {
-					t.Fatalf("op %d: ForEach(%d) = %+v, want %+v", op, b, got[b], l)
+					t.Fatalf("op %d, node %d: ForEach(%d) = %+v, want %+v", op, node, b, got[b], l)
 				}
 			}
 			for s := Invalid; s <= Modified; s++ {
@@ -370,7 +389,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 					want = sets*ways - len(ref.lines)
 				}
 				if n := c.CountState(s); n != want {
-					t.Fatalf("op %d: CountState(%v) = %d, want %d", op, s, n, want)
+					t.Fatalf("op %d, node %d: CountState(%v) = %d, want %d", op, node, s, n, want)
 				}
 			}
 		}

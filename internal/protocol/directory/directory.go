@@ -216,8 +216,9 @@ var _ coherence.Protocol = (*Protocol)(nil)
 
 // New constructs a directory protocol. oracle may be nil.
 func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stats.Run, oracle *coherence.Oracle, opts Options) *Protocol {
-	if topo.Nodes() > 64 {
-		panic("directory: full bit vector limited to 64 nodes")
+	// Unreachable from a validated spec (spec.Validate caps the nodes).
+	if topo.Nodes() > topology.MaxNodes {
+		panic(fmt.Sprintf("directory: full bit vector limited to %d nodes, got %d", topology.MaxNodes, topo.Nodes()))
 	}
 	if oracle == nil {
 		oracle = coherence.NewOracle()
@@ -243,12 +244,13 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 	p.fabric = network.New(k, topo, params, &run.Traffic, ordered...)
 	p.fabric.SetProbe(opts.Probe)
 	p.nodes = make([]*node, topo.Nodes())
+	caches := cache.MustNewGroup(opts.Cache, topo.Nodes())
 	rng := sim.NewRand(opts.RetrySeed)
 	for i := range p.nodes {
 		n := &node{
 			p:        p,
 			id:       i,
-			cache:    cache.MustNew(opts.Cache),
+			cache:    caches[i],
 			wb:       make(map[coherence.Block]*wbEntry),
 			dir:      make(map[coherence.Block]*dirEntry),
 			deferred: make(map[coherence.Block][]msg),

@@ -61,7 +61,7 @@ type Options struct {
 	// owner was missed, re-issues the request as a full broadcast on the
 	// requester's behalf (counted as a retry). GETX and PUTX remain
 	// broadcasts, so ownership changes stay globally visible and masks
-	// stay mostly accurate. Requires at most 64 nodes.
+	// stay mostly accurate.
 	Multicast bool
 	// PredictorSize bounds the per-node owner predictor: 0 is unbounded,
 	// a positive value evicts the oldest entries (modelling finite
@@ -249,9 +249,6 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 	if oracle == nil {
 		oracle = coherence.NewOracle()
 	}
-	if opts.Multicast && topo.Nodes() > 64 {
-		panic("tssnoop: multicast snooping limited to 64 nodes")
-	}
 	p := &Protocol{
 		k:      k,
 		topo:   topo,
@@ -268,11 +265,12 @@ func New(k *sim.Kernel, topo *topology.Topology, params timing.Params, run *stat
 	p.data = network.New(k, topo, params, &run.Traffic)
 	p.data.SetProbe(opts.Probe)
 	p.nodes = make([]*node, topo.Nodes())
+	caches := cache.MustNewGroup(opts.Cache, topo.Nodes())
 	for i := range p.nodes {
 		n := &node{
 			p:     p,
 			id:    i,
-			cache: cache.MustNew(opts.Cache),
+			cache: caches[i],
 			wb:    make(map[coherence.Block]wbEntry),
 			mem:   make(map[coherence.Block]*memState),
 			pred:  make(map[coherence.Block]int),

@@ -273,6 +273,46 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedMachines pins that a spec of more than 64
+// nodes, which no protocol can simulate, is refused at validation: a 400
+// with a one-line error, no job, no simulation and no cell in flight.
+func TestHTTPRejectsOversizedMachines(t *testing.T) {
+	var sims atomic.Int64
+	sv, srv := newTestServer(t, "", func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
+		sims.Add(1)
+		return &stats.Run{}, nil
+	})
+	for _, proto := range spec.Protocols {
+		s := spec.New("OLTP", spec.WithProtocol(proto), spec.WithNetwork("torus"), spec.WithNodes(72),
+			spec.WithQuota(10))
+		for _, path := range []string{"/v1/runs", "/v1/grids"} {
+			resp := postJSON(t, srv.URL+path, s.JSON())
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %s %s/72 nodes: %s, want 400", path, proto, resp.Status)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "at most 64") ||
+				strings.Contains(e.Error, "\n") {
+				t.Fatalf("POST %s %s/72 nodes: error %q (%v), want one line naming the limit", path, proto, e.Error, err)
+			}
+		}
+	}
+	if n := sims.Load(); n != 0 {
+		t.Errorf("%d simulations started", n)
+	}
+	if jobs := sv.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected specs left %d jobs", len(jobs))
+	}
+	if qs := sv.QueueStats(); qs != (QueueStats{}) {
+		t.Errorf("queue after rejections: %+v", qs)
+	}
+	if in := sv.ShedStats().Inflight; in != 0 {
+		t.Errorf("%d cells in flight after rejections", in)
+	}
+}
+
 // TestHTTPJobsListSortedByID pins the GET /v1/jobs contract: the body
 // is the full retained job list, sorted by id ascending.
 func TestHTTPJobsListSortedByID(t *testing.T) {

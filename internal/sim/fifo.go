@@ -4,7 +4,7 @@ package sim
 // pattern used throughout the hot paths: when every pending completion
 // shares one fixed delay, kernel dispatch order (at, seq) is exactly
 // push order, so a plain FIFO replaces a closure per completion. The
-// kernel's fixed-delay lanes and the tsnet endpoint outboxes are FIFOs.
+// kernel's fixed-delay lanes are FIFOs.
 //
 // The ring only grows when it is full, doubling, so its capacity is
 // bounded by twice the peak occupancy no matter how many elements pass

@@ -54,7 +54,13 @@ type event struct {
 // an event is still its lane's newest, nothing else is scheduled for
 // its time, so a caller may append work to that event's payload instead
 // of scheduling another event: the address network batches its link
-// transits that way, without a second scheduling path.
+// transits and handler handoffs that way, without a second scheduling
+// path.
+//
+// Again lets such a batched event do its work in parts, one per
+// dispatch, so that a batch whose parts may end a run loop — handler
+// handoffs run protocol code, which can end a simulation phase — stops
+// exactly where the per-event kernel would (see Again for why).
 type Kernel struct {
 	now    Time
 	seq    uint64
@@ -63,6 +69,13 @@ type Kernel struct {
 	// executed counts dispatched events; useful for progress accounting
 	// and loop-detection in tests.
 	executed uint64
+	// running is set while an event's callback runs; again asks
+	// dispatch to keep that event for another part (see Again), and
+	// resumed holds it while resuming reports it pending.
+	running  bool
+	again    bool
+	resuming bool
+	resumed  event
 	// probe is the optional telemetry hook (nil = zero overhead beyond
 	// one predictable branch per schedule/dispatch). It records dispatch
 	// counts, schedule distances, and the pending-event high-water mark
@@ -104,9 +117,13 @@ func (k *Kernel) Now() Time { return k.now }
 // Executed returns the number of events dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending returns the number of scheduled-but-not-yet-dispatched events.
+// Pending returns the number of scheduled-but-not-yet-dispatched events,
+// counting an event that called Again as pending until its next part.
 func (k *Kernel) Pending() int {
 	n := len(k.events)
+	if k.resuming {
+		n++
+	}
 	for i := range k.lanes {
 		n += k.lanes[i].q.Len()
 	}
@@ -222,10 +239,16 @@ func (k *Kernel) popMin() event {
 	return top
 }
 
-// next finds the earliest pending event: the heap top or a lane head.
-// It returns nil when nothing is pending; from is the lane index, or -1
-// for the heap.
+// fromResumed is next's source for the event that called Again.
+const fromResumed = -2
+
+// next finds the earliest pending event: the event that called Again,
+// otherwise the heap top or a lane head. It returns nil when nothing is
+// pending; from is the lane index, -1 for the heap, or fromResumed.
 func (k *Kernel) next() (e *event, from int) {
+	if k.resuming {
+		return &k.resumed, fromResumed
+	}
 	from = -1
 	if len(k.events) > 0 {
 		e = &k.events[0]
@@ -243,20 +266,52 @@ func (k *Kernel) next() (e *event, from int) {
 }
 
 // dispatch removes the earliest event from the queue next chose,
-// advances the clock to it and runs it.
+// advances the clock to it and runs it. A resumed event runs its next
+// part: the clock is already at its time, and it is not counted again.
 func (k *Kernel) dispatch(from int) {
 	var e event
-	if from < 0 {
-		e = k.popMin()
+	if from == fromResumed {
+		e = k.resumed
+		k.resuming, k.resumed = false, event{}
 	} else {
-		e = k.lanes[from].q.Pop()
+		if from < 0 {
+			e = k.popMin()
+		} else {
+			e = k.lanes[from].q.Pop()
+		}
+		k.now = e.at
+		k.executed++
+		if p := k.probe; p != nil {
+			p.Dispatch()
+		}
 	}
-	k.now = e.at
-	k.executed++
-	if p := k.probe; p != nil {
-		p.Dispatch()
-	}
+	k.running = true
 	e.fn(e.a0, e.a1, e.i0)
+	k.running = false
+	if k.again {
+		k.again, k.resuming, k.resumed = false, true, e
+	}
+}
+
+// Again asks the kernel to dispatch the running event once more, with
+// the same callback and arguments and unchanged in (at, seq), before
+// any other pending event. It lets an event do its work in parts: each
+// part ends by calling Again while work remains, and every run loop
+// checks its stop condition between parts exactly as it would between
+// separate events. A resumed part is not a new event: it pops no queue
+// and Executed does not count it, but Pending counts the event until
+// its next part starts.
+//
+// Resuming first is exact. The running event is the minimum by
+// (at, seq) of everything that was pending, and everything it schedules
+// carries a later seq, so its next part is still the earliest pending
+// work — where the rest would run had it been scheduled as consecutive
+// events ahead of all that. Calling Again outside a dispatch panics.
+func (k *Kernel) Again() {
+	if !k.running {
+		panic("sim: Again called outside a dispatch")
+	}
+	k.again = true
 }
 
 // AtCall schedules the event fn(a0, a1, i0) at absolute time t. Nothing

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -80,12 +81,14 @@ var diffDelays = []Duration{0, 1, 3, 5, 15, 15, 15, 40}
 var diffDeclared = []Duration{0, 15}
 
 // diffRec is one dispatch of the differential test: its time, its seq,
-// which EventFn ran (0 diffTyped, 1 diffOther) and its argument.
+// which EventFn ran (0 diffTyped, 1 diffOther, 2 diffParts), its
+// argument, and for diffParts which part of the event ran.
 type diffRec struct {
-	at  Time
-	seq uint64
-	fn  int
-	i0  int64
+	at   Time
+	seq  uint64
+	fn   int
+	i0   int64
+	part int
 }
 
 // diffRun drives one kernel through a scripted, self-extending event
@@ -98,6 +101,8 @@ type diffRun struct {
 	ids     int64
 	budget  int
 	seqOK   bool
+	parts   map[int64]int // parts run so far per diffParts event
+	split   int           // driver ops that ended between two parts
 }
 
 func mix(x uint64) uint64 {
@@ -111,14 +116,17 @@ func diffTyped(a0, a1 any, i0 int64) { a0.(*diffRun).fire(0, i0) }
 
 func diffOther(a0, a1 any, i0 int64) { a0.(*diffRun).fire(1, i0) }
 
+// diffParts runs in one to three parts, resuming itself with Again.
+func diffParts(a0, a1 any, i0 int64) { a0.(*diffRun).firePart(i0) }
+
 // schedule queues event number ids+1 d ahead, through one of the two
-// scheduling entry points and one of the two EventFns picked by how;
+// scheduling entry points and one of the three EventFns picked by how;
 // the test's ids mirror the kernel's seq, which is checked here.
 func (r *diffRun) schedule(d Duration, how uint64) {
 	r.ids++
 	id := r.ids
 	k := r.k
-	switch how % 4 {
+	switch how % 6 {
 	case 0:
 		k.AfterCall(d, diffTyped, r, nil, id)
 	case 1:
@@ -127,6 +135,10 @@ func (r *diffRun) schedule(d Duration, how uint64) {
 		k.AfterCall(d, diffOther, r, nil, id)
 	case 3:
 		k.AtCall(k.Now()+d, diffOther, r, nil, id)
+	case 4:
+		k.AfterCall(d, diffParts, r, nil, id)
+	case 5:
+		k.AtCall(k.Now()+d, diffParts, r, nil, id)
 	}
 	if k.seq != uint64(id) {
 		r.seqOK = false
@@ -137,11 +149,28 @@ func (r *diffRun) schedule(d Duration, how uint64) {
 // the event.
 func (r *diffRun) fire(fn int, id int64) {
 	r.trace = append(r.trace, diffRec{at: r.k.Now(), seq: uint64(id), fn: fn, i0: id})
-	h := mix(uint64(id))
+	r.children(mix(uint64(id)))
+}
+
+// children schedules up to two events, as the hash h decides.
+func (r *diffRun) children(h uint64) {
 	for c := uint64(0); c < h%3 && r.budget > 0; c++ {
 		h = mix(h)
 		r.budget--
 		r.schedule(diffDelays[h%uint64(len(diffDelays))], h>>8)
+	}
+}
+
+// firePart records one part of a diffParts event, schedules its
+// children, and resumes the event while parts remain.
+func (r *diffRun) firePart(id int64) {
+	part := r.parts[id]
+	r.parts[id] = part + 1
+	r.trace = append(r.trace, diffRec{at: r.k.Now(), seq: uint64(id), fn: 2, i0: id, part: part})
+	h := mix(uint64(id) ^ uint64(part)<<48)
+	r.children(h)
+	if part < int(mix(uint64(id))%3) {
+		r.k.Again()
 	}
 }
 
@@ -152,7 +181,7 @@ func runDiff(declare bool, seed uint64, ops []uint16) (*diffRun, obs.KernelMetri
 	k := NewKernel()
 	probe := obs.NewProbe()
 	k.SetProbe(probe)
-	r := &diffRun{k: k, budget: 600, seqOK: true}
+	r := &diffRun{k: k, budget: 600, seqOK: true, parts: map[int64]int{}}
 	if declare {
 		for _, d := range diffDeclared {
 			k.DeclareDelay(d)
@@ -171,6 +200,9 @@ func runDiff(declare bool, seed uint64, ops []uint16) (*diffRun, obs.KernelMetri
 		case 5:
 			k.Step()
 		}
+		if k.resuming {
+			r.split++
+		}
 		if declare && i == len(ops)/2 {
 			k.DeclareDelay(5) // a declaration may come with events pending
 		}
@@ -182,15 +214,18 @@ func runDiff(declare bool, seed uint64, ops []uint16) (*diffRun, obs.KernelMetri
 
 // TestKernelLanesMatchHeapOracle is the fixed-delay lanes' oracle test:
 // for random programs — nested scheduling, delays on and off the
-// declared set, same-time ties, RunUntil/RunWhile/Step interleavings and
+// declared set, same-time ties, events run in parts through Again,
+// RunUntil/RunWhile/Step interleavings that stop between parts too, and
 // a declaration made mid-run — a kernel with declared delays dispatches
-// exactly the (at, seq, fn, args) trace of the heap-only kernel, reports
-// the same Pending counts, and renders identical kernel telemetry
-// (heap_peak counts lane events too).
+// exactly the (at, seq, fn, args, part) trace of the heap-only kernel,
+// reports the same Pending counts, and renders identical kernel
+// telemetry (heap_peak counts lane events too).
 func TestKernelLanesMatchHeapOracle(t *testing.T) {
+	split := 0
 	f := func(seed uint64, ops []uint16) bool {
 		heap, heapM := runDiff(false, seed, ops)
 		lanes, lanesM := runDiff(true, seed, ops)
+		split += lanes.split
 		if !heap.seqOK || !lanes.seqOK {
 			t.Logf("seed %d: test ids drifted from kernel seq", seed)
 			return false
@@ -211,6 +246,9 @@ func TestKernelLanesMatchHeapOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if split == 0 {
+		t.Error("no run loop stopped between two parts of an event")
 	}
 }
 
@@ -281,4 +319,71 @@ func TestNewestOnLane(t *testing.T) {
 	if _, ok := k.NewestOnLane(15); ok {
 		t.Fatal("drained lane reports a newest event")
 	}
+}
+
+// partsRun is the state of TestAgainStopsBetweenParts: the kernel, the
+// dispatch log, and the parts partsEvent has left to run.
+type partsRun struct {
+	k    *Kernel
+	log  []string
+	left int
+}
+
+// partsEvent is a typed event run in parts: a0 is the *partsRun, i0 a
+// label. Each part logs "label.left" and resumes while parts remain.
+func partsEvent(a0, a1 any, i0 int64) {
+	r := a0.(*partsRun)
+	r.log = append(r.log, fmt.Sprintf("%d.%d", i0, r.left))
+	if r.left > 0 {
+		r.left--
+		r.k.Again()
+	}
+}
+
+// logEvent logs its label to the *partsRun in a0.
+func logEvent(a0, a1 any, i0 int64) {
+	r := a0.(*partsRun)
+	r.log = append(r.log, fmt.Sprint(i0))
+}
+
+// TestAgainStopsBetweenParts pins the exact stop inside an event run in
+// parts: a RunWhile whose condition turns false after a part leaves the
+// rest pending at the same Now, counted by Pending but not by Executed,
+// and the next RunWhile or RunUntil dispatches it first — ahead of the
+// events due at the same time, scheduled before it or after the stop.
+func TestAgainStopsBetweenParts(t *testing.T) {
+	for _, resume := range []string{"RunWhile", "RunUntil"} {
+		t.Run(resume, func(t *testing.T) {
+			k := NewKernel()
+			k.DeclareDelay(10)
+			r := &partsRun{k: k, left: 2}
+			k.AfterCall(10, partsEvent, r, nil, 1)
+			k.AfterCall(10, logEvent, r, nil, 2)
+			k.RunWhile(func() bool { return len(r.log) < 1 })
+			if k.Now() != 10 || k.Executed() != 1 || k.Pending() != 2 {
+				t.Fatalf("after the first part: now %v, executed %d, pending %d; want 10, 1, 2",
+					k.Now(), k.Executed(), k.Pending())
+			}
+			k.AtCall(10, logEvent, r, nil, 3)
+			switch resume {
+			case "RunWhile":
+				k.RunWhile(func() bool { return true })
+			case "RunUntil":
+				k.RunUntil(10)
+			}
+			want := []string{"1.2", "1.1", "1.0", "2", "3"}
+			if fmt.Sprint(r.log) != fmt.Sprint(want) {
+				t.Fatalf("dispatch order %v, want %v", r.log, want)
+			}
+			if k.Executed() != 3 || k.Pending() != 0 {
+				t.Fatalf("executed %d, pending %d; want 3, 0", k.Executed(), k.Pending())
+			}
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Again outside a dispatch did not panic")
+		}
+	}()
+	NewKernel().Again()
 }

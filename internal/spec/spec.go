@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"tsnoop/internal/system"
+	"tsnoop/internal/topology"
 	"tsnoop/internal/workload"
 )
 
@@ -251,6 +252,9 @@ func (s Spec) validateMachine() error {
 	}
 	if s.Nodes < 1 {
 		return fmt.Errorf("spec: nodes must be at least 1, got %d", s.Nodes)
+	}
+	if s.Nodes > topology.MaxNodes {
+		return fmt.Errorf("spec: nodes must be at most %d (endpoint sets are 64-bit masks), got %d", topology.MaxNodes, s.Nodes)
 	}
 	if s.Seeds < 1 {
 		return fmt.Errorf("spec: seeds must be at least 1, got %d", s.Seeds)

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,6 +76,18 @@ func TestValidateOneLineErrors(t *testing.T) {
 		{"slack", func(s *Spec) { s.Slack = -1 }, "slack"},
 		{"tokens", func(s *Spec) { s.TokensPerPort = 0 }, "tokens"},
 		{"cache", func(s *Spec) { s.BlockBytes = -64 }, "cache geometry"},
+	}
+	// Endpoint sets are 64-bit masks: larger machines hang TS-Snoop's
+	// broadcasts and overflow the directories' sharer vectors, so every
+	// protocol must refuse them up front.
+	for _, nodes := range []int{65, 72, 81, 128} {
+		for _, proto := range Protocols {
+			cases = append(cases, struct {
+				name string
+				mod  func(*Spec)
+				want string
+			}{fmt.Sprintf("nodes%d/%s", nodes, proto), func(s *Spec) { s.Nodes, s.Protocol = nodes, proto }, "at most 64"})
+		}
 	}
 	for _, c := range cases {
 		s := Default()

@@ -89,3 +89,33 @@ func TestWavesEngage(t *testing.T) {
 		t.Errorf("waves dispatched %d events, want fewer than half of the per-event %d", bareEvents, oracleEvents)
 	}
 }
+
+// TestProductionEventCounts pins the kernel events an untraced OLTP run
+// dispatches at the default quotas, seed 1, with and without
+// contention: the count the wave path and the handoff waves bring down,
+// read from the same kernel counter the per-layer benchmark reports.
+func TestProductionEventCounts(t *testing.T) {
+	for _, c := range []struct {
+		network    string
+		contention bool
+		want       uint64
+	}{
+		{system.NetButterfly, false, 486_919},
+		{system.NetTorus, false, 841_187},
+		{system.NetButterfly, true, 2_030_204},
+		{system.NetTorus, true, 2_951_987},
+	} {
+		name := c.network
+		opts := []Option{WithNetwork(c.network), WithSeed(1)}
+		if c.contention {
+			name += "/contention"
+			opts = append(opts, WithContention())
+		}
+		t.Run(name, func(t *testing.T) {
+			_, events := execute(t, New("OLTP", opts...))
+			if events != c.want {
+				t.Errorf("%d kernel events, want %d", events, c.want)
+			}
+		})
+	}
+}

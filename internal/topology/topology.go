@@ -72,10 +72,16 @@ type Switch struct {
 	Out []LinkID
 }
 
+// MaxNodes is the largest machine the simulator runs: endpoint sets —
+// Branch.Reach, multicast destination masks, directory sharer vectors —
+// are 64-bit masks. Larger topologies can be built for analysis, but
+// their broadcast trees do not reach the endpoints beyond it.
+const MaxNodes = 64
+
 // Branch is one output of a broadcast routing step: forward on Link, and
 // increase the transaction's slack by DeltaD (the decrease in the maximum
 // remaining pipeline depth relative to the longest branch). Reach is the
-// set of endpoints (bitmask, for machines up to 64 nodes) delivered
+// set of endpoints (bitmask, for machines up to MaxNodes) delivered
 // through this branch; multicast pruning drops branches whose reach does
 // not intersect the destination set, which never alters a surviving
 // copy's path and therefore preserves every ordering-time invariant.
@@ -217,7 +223,7 @@ func (t *Topology) finishTree(src int, root *treeNode) *BroadcastTree {
 			if nd.depth > bt.MaxDepth {
 				bt.MaxDepth = nd.depth
 			}
-			if nd.vertex.Index < 64 {
+			if nd.vertex.Index < MaxNodes {
 				reach |= 1 << uint(nd.vertex.Index)
 			}
 		}

@@ -317,3 +317,53 @@ func TestSwitchLinkConsistency(t *testing.T) {
 		}
 	}
 }
+
+// reachBelow walks a broadcast from link id the way a tsnet switch
+// forwards one with destination set mask, pruning every branch whose
+// Reach misses mask, and returns the endpoints it delivers to. It fails
+// the test when a branch's Reach is not exactly the endpoints below it.
+func reachBelow(t *testing.T, topo *Topology, tree *BroadcastTree, id LinkID, mask uint64) uint64 {
+	t.Helper()
+	to := topo.Link(id).To
+	if to.Kind == KindEndpoint {
+		return 1 << uint(to.Index)
+	}
+	var got uint64
+	for _, b := range tree.Route[to.Index] {
+		if b.Reach&mask == 0 {
+			continue
+		}
+		below := reachBelow(t, topo, tree, b.Link, mask)
+		if below != b.Reach {
+			t.Fatalf("%s: tree from %d, link %d: Reach %#x, delivers to %#x", topo.Name(), tree.Source, b.Link, b.Reach, below)
+		}
+		got |= below
+	}
+	return got
+}
+
+// TestBroadcastReachesEveryEndpoint pins the endpoint bitmasks every
+// routing step consults: for every torus and butterfly of at most 64
+// nodes — the machines a spec may ask for — a broadcast from every
+// source, forwarded with the all-ones destination set, prunes no branch
+// and reaches every endpoint.
+func TestBroadcastReachesEveryEndpoint(t *testing.T) {
+	var topos []*Topology
+	for r := 2; r*r <= 64; r++ {
+		topos = append(topos, MustButterfly(r))
+	}
+	for w := 2; 2*w <= 64; w++ {
+		for h := 2; w*h <= 64; h++ {
+			topos = append(topos, MustTorus(w, h))
+		}
+	}
+	for _, topo := range topos {
+		all := ^uint64(0) >> uint(64-topo.Nodes())
+		for src := 0; src < topo.Nodes(); src++ {
+			tree := topo.BroadcastTree(src)
+			if got := reachBelow(t, topo, tree, topo.EndpointOut(src), ^uint64(0)); got != all {
+				t.Fatalf("%s: broadcast from %d reaches %#x, want %#x", topo.Name(), src, got, all)
+			}
+		}
+	}
+}

@@ -28,8 +28,9 @@ func TestBroadcastAllocs(t *testing.T) {
 	}
 	net.Start()
 	k.RunUntil(100 * sim.Nanosecond)
-	// Warm the pools: a few broadcasts populate the wave free list, the
-	// reorder heaps, and the endpoint outboxes.
+	// Warm the pools: a few broadcasts populate the wave free list, with
+	// the capacity of its transit and handoff slices, and the reorder
+	// heaps.
 	src := 0
 	for i := 0; i < 8; i++ {
 		want := delivered + topo.Nodes()
@@ -133,10 +134,11 @@ func TestBroadcastAllocsTraced(t *testing.T) {
 }
 
 // TestContendedBufferCapacityStabilizes pins the backing-array reuse of
-// the switch transaction buffers and endpoint reorder queues: under
-// sustained contended load, the capacities reached after a warm-up burst
-// must not grow across many further identical bursts (the pre-rewrite
-// slice-splice and heap pop leaked capacity growth on long runs).
+// the switch transaction buffers, endpoint reorder queues and recycled
+// waves' handoff entries: under sustained contended load, the capacities
+// reached after a warm-up burst must not grow across many further
+// identical bursts (the pre-rewrite slice-splice and heap pop leaked
+// capacity growth on long runs).
 func TestContendedBufferCapacityStabilizes(t *testing.T) {
 	topo := topology.MustButterfly(4)
 	k := sim.NewKernel()
@@ -162,13 +164,15 @@ func TestContendedBufferCapacityStabilizes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		burst()
 	}
-	caps := func() (bufCap, queueCap, outCap int) {
+	caps := func() (bufCap, queueCap, handoffCap int) {
 		for _, sw := range net.switches {
 			bufCap += cap(sw.buffered)
 		}
 		for _, ep := range net.endpoints {
 			queueCap += cap(ep.queue.h)
-			outCap += ep.outbox.Cap()
+		}
+		for _, w := range net.freeWaves {
+			handoffCap += cap(w.handoffs)
 		}
 		return
 	}
@@ -178,7 +182,7 @@ func TestContendedBufferCapacityStabilizes(t *testing.T) {
 	}
 	b1, q1, o1 := caps()
 	if b1 > b0 || q1 > q0 || o1 > o0 {
-		t.Errorf("capacities grew under sustained load: buffers %d -> %d, queues %d -> %d, outboxes %d -> %d",
+		t.Errorf("capacities grew under sustained load: buffers %d -> %d, queues %d -> %d, handoffs %d -> %d",
 			b0, b1, q0, q1, o0, o1)
 	}
 

@@ -29,10 +29,24 @@
 // its transits and the dispatch order is exactly the per-event one;
 // only the event count falls. Joining needs two more conditions: no
 // probe, which counts events, and a nonzero handler handoff delay Dovh
-// unlike every link latency, so a wave never runs protocol code that
-// could end a RunWhile loop in its middle. Otherwise every send is a
-// wave of one — the per-event path, through the same code, which the
+// unlike every link latency, so a link wave never runs protocol code
+// that could end a RunWhile loop in its middle. Otherwise every send is
+// a wave of one — the per-event path, through the same code, which the
 // differential tests keep as the oracle.
+//
+// Handler handoffs form waves by the same rule. The paper's endpoints
+// all process an ordered transaction at the same logical time, so in an
+// uncontended run the handoffs of one broadcast, each Dovh after its
+// endpoint's tick, fall back to back on the Dovh lane; a handoff wave
+// carries them as one kernel event, and is a wave of one exactly when
+// link waves are. A handoff does run protocol code, which may end the
+// RunWhile loop of a simulation phase, so a handoff wave delivers one
+// handoff per dispatch and resumes itself with sim.Kernel.Again while
+// handoffs remain. The loop checks its condition between handoffs, as
+// between separate events, and a stop leaves the rest pending first in
+// line at the same time — where the per-event path leaves the remaining
+// handoff events — so the next loop runs them in the same order. Only
+// the count of kernel events differs, since a resumed part is not one.
 //
 // In an uncontended network that forms waves, the token system runs on
 // its own and soon repeats; the token clock (see tokenClock) then
@@ -194,11 +208,11 @@ type Network struct {
 	nextSeq   []uint64
 	links     []linkMeta
 
-	// waves reports whether sends may join an open wave (see wave);
-	// when false every send is a wave of one. open[lane] is the wave
-	// most recently scheduled on each link-latency lane, laneLat[lane]
-	// its delay; freeWaves recycles dispatched waves with their slices'
-	// capacity.
+	// waves reports whether sends and handoffs may join an open wave
+	// (see wave); when false each is a wave of one. open[lane] is the
+	// wave most recently scheduled on each link-latency lane, laneLat[lane]
+	// its delay, and open[handoffLane] the newest handoff wave; freeWaves
+	// recycles dispatched waves with their slices' capacity.
 	waves     bool
 	open      []*wave
 	laneLat   []sim.Duration
@@ -222,6 +236,11 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 	}
 	if cfg.TokensPerPort < 1 {
 		panic("tsnet: TokensPerPort must be >= 1")
+	}
+	// Unreachable from a validated spec (spec.Validate caps the nodes):
+	// broadcast trees reach only the endpoints their masks can name.
+	if topo.Nodes() > topology.MaxNodes {
+		panic(fmt.Sprintf("tsnet: endpoint masks limited to %d endpoints, got %d", topology.MaxNodes, topo.Nodes()))
 	}
 	if cfg.SerTime == 0 {
 		cfg.SerTime = cfg.Params.Dswitch
@@ -250,7 +269,7 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 			lane:     int32(lane),
 		}
 	}
-	n.open = make([]*wave, len(n.laneLat))
+	n.open = make([]*wave, len(n.laneLat)+1)
 	// Every link transit (a transaction copy's or a token's) and every
 	// handler handoff waits a fixed delay, so each distinct one gets a
 	// kernel lane and skips the event heap.
@@ -260,9 +279,10 @@ func New(k *sim.Kernel, topo *topology.Topology, cfg Config, traffic *stats.Traf
 	if cfg.Params.Dovh > 0 {
 		k.DeclareDelay(cfg.Params.Dovh)
 	}
-	// Sends join waves only when a wave never runs protocol code — every
-	// handoff waits Dovh > 0 on a lane of its own — and no probe counts
-	// events: then merging changes nothing a caller can observe.
+	// Sends and handoffs join waves only when a link wave never runs
+	// protocol code — every handoff waits Dovh > 0 on a lane of its own —
+	// and no probe counts events: then merging changes nothing a caller
+	// can observe.
 	n.waves = n.probe == nil && cfg.Params.Dovh > 0 && !slices.Contains(n.laneLat, cfg.Params.Dovh)
 	for _, sw := range topo.Switches() {
 		for pos, id := range sw.In {
@@ -377,15 +397,12 @@ func (n *Network) Inject(src int, payload any) uint64 {
 }
 
 // InjectTo multicasts an address transaction from src to the endpoint set
-// mask (a bitmask; bit i = endpoint i; machines up to 64 nodes). The
-// transaction occupies the same slot in the global logical order a
-// broadcast would — only the delivery set shrinks — so multicasts and
-// broadcasts interleave in one total order (the property multicast
-// snooping depends on). Traffic is charged for the pruned tree only.
+// mask (a bitmask; bit i = endpoint i). The transaction occupies the
+// same slot in the global logical order a broadcast would — only the
+// delivery set shrinks — so multicasts and broadcasts interleave in one
+// total order (the property multicast snooping depends on). Traffic is
+// charged for the pruned tree only.
 func (n *Network) InjectTo(src int, mask uint64, payload any) uint64 {
-	if n.topo.Nodes() > 64 {
-		panic("tsnet: multicast limited to 64 endpoints")
-	}
 	if mask == 0 {
 		panic("tsnet: empty multicast mask")
 	}
@@ -434,18 +451,21 @@ func (n *Network) inject(src int, mask uint64, payload any) uint64 {
 }
 
 // wave is one kernel event delivering a run of link transits that
-// complete at the same time on links of one latency: either tokens
-// (token wave) or transaction copies (hops), never both. A send joins
-// the newest wave on its latency's lane while that wave is still the
-// lane's newest pending event (sim.Kernel.NewestOnLane); the kernel
-// would have dispatched the sends back to back in that order, so the
-// wave runs them back to back in that order and no output changes.
+// complete at the same time on links of one latency — either tokens
+// (token wave) or transaction copies (hops), never both — or a run of
+// handler handoffs (handoff wave). A send or handoff joins the newest
+// wave on its delay's lane while that wave is still the lane's newest
+// pending event (sim.Kernel.NewestOnLane); the kernel would have
+// dispatched them back to back in that order, so the wave runs them
+// back to back in that order and no output changes.
 type wave struct {
-	at     sim.Time
-	seq    uint64
-	token  bool
-	tokens []topology.LinkID
-	hops   []hop
+	at       sim.Time
+	seq      uint64
+	token    bool
+	tokens   []topology.LinkID
+	hops     []hop
+	handoffs []handoff
+	next     int // handoffs already delivered
 }
 
 // hop is one transaction copy crossing a link, held by value so the
@@ -453,6 +473,13 @@ type wave struct {
 type hop struct {
 	link topology.LinkID
 	t    txn
+}
+
+// handoff is one ordered transaction waiting out the network-exit
+// delay before its endpoint's handler receives it.
+type handoff struct {
+	ep *epState
+	q  queued
 }
 
 // sendOnLink sends a transaction copy across a link.
@@ -467,15 +494,24 @@ func (n *Network) sendToken(id topology.LinkID) {
 	w.tokens = append(w.tokens, id)
 }
 
-// waveFor returns the wave a send on link id joins: the open wave of the
-// link's latency when it is of the same kind, due at the same time and
-// still the newest event on its lane, otherwise a freshly scheduled one.
+// waveFor returns the wave a send on link id joins.
 func (n *Network) waveFor(id topology.LinkID, token bool) *wave {
 	m := &n.links[id]
-	at := n.k.Now() + m.lat
+	return n.openWave(int(m.lane), m.lat, token, deliverWave)
+}
+
+// handoffLane is the open slot of the handoff waves, after the links'.
+func (n *Network) handoffLane() int { return len(n.laneLat) }
+
+// openWave returns the wave a send or handoff d ahead joins: the open
+// wave of lane when it is of the same kind, due at the same time and
+// still the newest event on its delay's kernel lane, otherwise a freshly
+// scheduled one that fn delivers.
+func (n *Network) openWave(lane int, d sim.Duration, token bool, fn sim.EventFn) *wave {
+	at := n.k.Now() + d
 	if n.waves {
-		if w := n.open[m.lane]; w != nil && w.at == at && w.token == token {
-			if seq, ok := n.k.NewestOnLane(m.lat); ok && seq == w.seq {
+		if w := n.open[lane]; w != nil && w.at == at && w.token == token {
+			if seq, ok := n.k.NewestOnLane(d); ok && seq == w.seq {
 				return w
 			}
 		}
@@ -488,10 +524,10 @@ func (n *Network) waveFor(id topology.LinkID, token bool) *wave {
 		w = &wave{}
 	}
 	w.at, w.token = at, token
-	n.k.AtCall(at, deliverWave, n, w, 0)
+	n.k.AtCall(at, fn, n, w, 0)
 	if n.waves {
-		w.seq, _ = n.k.NewestOnLane(m.lat)
-		n.open[m.lane] = w
+		w.seq, _ = n.k.NewestOnLane(d)
+		n.open[lane] = w
 	}
 	return w
 }
@@ -538,11 +574,32 @@ func deliverWave(a0, a1 any, i0 int64) {
 	n.recycle(w)
 }
 
+// deliverHandoff is the typed kernel event completing a handoff wave's
+// handler handoffs in order, one per dispatch: a0 is the Network, a1
+// the wave. While handoffs remain it resumes with sim.Kernel.Again, so
+// a handler that ends the dispatching RunWhile loop leaves the rest
+// pending exactly where separate handoff events would be.
+func deliverHandoff(a0, a1 any, i0 int64) {
+	n := a0.(*Network)
+	w := a1.(*wave)
+	h := w.handoffs[w.next]
+	if w.next++; w.next < len(w.handoffs) {
+		n.k.Again()
+	} else {
+		n.recycle(w)
+	}
+	if p := n.probe; p != nil {
+		p.Event(obs.EvOrderedHandoff)
+	}
+	h.ep.handler(h.q.src, h.q.seq, h.q.payload, h.q.arrived)
+}
+
 // recycle returns a dispatched wave to the free list, keeping its
-// slices' capacity; cleared hops retain no payloads.
+// slices' capacity; cleared hops and handoffs retain no payloads.
 func (n *Network) recycle(w *wave) {
 	clear(w.hops)
-	w.tokens, w.hops = w.tokens[:0], w.hops[:0]
+	clear(w.handoffs)
+	w.tokens, w.hops, w.handoffs, w.next = w.tokens[:0], w.hops[:0], w.handoffs[:0], 0
 	n.freeWaves = append(n.freeWaves, w)
 }
 
@@ -557,12 +614,6 @@ type epState struct {
 	queue   reorderQueue
 	handler OrderedHandler
 	peek    PeekHandler
-
-	// outbox holds transactions whose ordered processing is complete but
-	// whose handler handoff is still in its Dovh network-exit delay. All
-	// handoffs share that one delay, so deliveries are strictly FIFO
-	// (see sim.FIFO) and a queue replaces a closure per handoff.
-	outbox sim.FIFO[queued]
 }
 
 func (e *epState) arriveToken() {
@@ -667,19 +718,6 @@ func (e *epState) arriveTxn(t *txn) {
 	}
 }
 
-// deliverOrdered is the typed kernel event completing a handler handoff
-// after the network-exit overhead: a0 is the epState. Handoffs pop from
-// the endpoint's outbox in FIFO order, which matches event order because
-// every handoff shares the same Dovh delay.
-func deliverOrdered(a0, a1 any, i0 int64) {
-	e := a0.(*epState)
-	if p := e.net.probe; p != nil {
-		p.Event(obs.EvOrderedHandoff)
-	}
-	q := e.outbox.Pop()
-	e.handler(q.src, q.seq, q.payload, q.arrived)
-}
-
 func (e *epState) process(q queued) {
 	if e.net.run != nil {
 		e.net.run.OrderingDelay.Observe(e.net.k.Now() - q.arrived)
@@ -697,11 +735,12 @@ func (e *epState) process(q queued) {
 		panic(fmt.Sprintf("tsnet: endpoint %d has no ordered handler", e.id))
 	}
 	// Hand off to the protocol controller after the network-exit overhead
-	// (Dovh). All handoffs share the same delay, so the controller sees
-	// transactions in exactly the logical order.
+	// (Dovh), in a handoff wave. All handoffs share the same delay, so the
+	// controller sees transactions in exactly the logical order.
 	if d := e.net.cfg.Params.Dovh; d > 0 {
-		e.outbox.Push(q)
-		e.net.k.AfterCall(d, deliverOrdered, e, nil, 0)
+		n := e.net
+		w := n.openWave(n.handoffLane(), d, false, deliverHandoff)
+		w.handoffs = append(w.handoffs, handoff{ep: e, q: q})
 		return
 	}
 	e.handler(q.src, q.seq, q.payload, q.arrived)

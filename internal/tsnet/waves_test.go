@@ -231,3 +231,80 @@ func TestTokenClockCycle(t *testing.T) {
 		})
 	}
 }
+
+// handoffRec is one handler handoff: endpoint, transaction, and time.
+type handoffRec struct {
+	ep, src int
+	seq     uint64
+	at      sim.Time
+}
+
+// runStopMidWave keeps a network busy with broadcasts and stops its
+// RunWhile loop every 7 handoffs, injecting the next broadcast at each
+// stop, so that most stops fall inside a run of handoffs due at one
+// time. It returns the handoffs, the time of each stop, and the kernel's
+// dispatch count. probed attaches a telemetry probe, which makes every
+// handoff its own kernel event.
+func runStopMidWave(topo *topology.Topology, probed bool) (log []handoffRec, stops []sim.Time, events uint64) {
+	k := sim.NewKernel()
+	run := &stats.Run{}
+	cfg := DefaultConfig()
+	if probed {
+		probe := obs.NewProbe()
+		k.SetProbe(probe)
+		cfg.Probe = probe
+	}
+	net := New(k, topo, cfg, &run.Traffic, run)
+	for ep := 0; ep < topo.Nodes(); ep++ {
+		ep := ep
+		net.Register(ep, func(src int, seq uint64, _ any, _ sim.Time) {
+			log = append(log, handoffRec{ep: ep, src: src, seq: seq, at: k.Now()})
+		}, nil)
+	}
+	net.Start()
+	k.RunUntil(100 * sim.Nanosecond)
+	for src := 0; len(log) < 600; src++ {
+		net.Inject(src%topo.Nodes(), nil)
+		target := len(log) + 7
+		k.RunWhile(func() bool { return len(log) < target })
+		stops = append(stops, k.Now())
+	}
+	k.RunUntil(k.Now() + sim.Microsecond)
+	return log, stops, k.Executed()
+}
+
+// TestHandoffWaveStopsExactly pins the exact stop inside a handoff
+// wave: when a handler ends RunWhile between two handoffs of one wave,
+// the rest must stay pending and run first, in the same order and at
+// the same time as the per-event path's separate handoff events — also
+// with a broadcast injected at the stop.
+func TestHandoffWaveStopsExactly(t *testing.T) {
+	for name, topo := range map[string]*topology.Topology{
+		"butterfly": topology.MustButterfly(4),
+		"torus":     topology.MustTorus(4, 4),
+	} {
+		t.Run(name, func(t *testing.T) {
+			log, stops, events := runStopMidWave(topo, false)
+			oLog, oStops, oEvents := runStopMidWave(topo, true)
+			if !reflect.DeepEqual(log, oLog) {
+				t.Fatalf("handoffs differ from the per-event path (%d vs %d)", len(log), len(oLog))
+			}
+			if !reflect.DeepEqual(stops, oStops) {
+				t.Fatalf("stop times differ from the per-event path: %v vs %v", stops, oStops)
+			}
+			mid, next := 0, 0
+			for _, at := range stops {
+				next += 7
+				if next < len(log) && log[next].at == at && log[next-1].at == at {
+					mid++
+				}
+			}
+			if mid == 0 {
+				t.Fatal("no stop fell between two handoffs due at one time")
+			}
+			if events >= oEvents {
+				t.Errorf("handoff waves dispatched %d events, per-event %d", events, oEvents)
+			}
+		})
+	}
+}
