@@ -3,9 +3,10 @@
 // Table 2, the benchmark characterizations of Table 3, the Section 5
 // bandwidth envelope, and the sensitivity sweeps. Each regeneration
 // returns a structured result with a text rendering used by the cmd
-// tools, README.md, and the benchmark suite. Experiments execute on a
-// concurrent engine (see pool.go): set Experiment.Workers to bound the
-// fan-out; output is byte-identical at any worker count.
+// tools, README.md, and the benchmark suite. Every simulation is a
+// spec.Spec (see pool.go) executed by Spec.Run, fanned out across a
+// worker pool: set Experiment.Workers to bound the fan-out; output is
+// byte-identical at any worker count.
 package harness
 
 import (
@@ -59,7 +60,7 @@ type Experiment struct {
 	Protocols []string
 	// Base, when non-nil, supplies the machine and protocol design knobs
 	// every cell starts from (slack, MOSI, multicast, cache geometry,
-	// explicit quotas ...); nil means spec.Default(). The engine owns the
+	// explicit quotas ...); nil means spec.Default(). CellSpec owns the
 	// per-cell coordinates, seeds, and perturbation.
 	Base *spec.Spec
 }
@@ -138,23 +139,17 @@ type CellResult struct {
 	Best *stats.Run
 }
 
-// RunCell executes one cell over the experiment's perturbed seeds,
-// fanned out across the worker pool, and returns the minimum-runtime
-// run.
+// RunCell executes one cell: its CellSpec, whose perturbed seeds fan
+// out across the worker pool, run by Spec.Run, which reports the
+// minimum-runtime run.
 func (e Experiment) RunCell(c Cell) (CellResult, error) {
-	gen, err := lookupGen(c.Benchmark, e.Nodes)
+	s := e.CellSpec(c)
+	s.Workers = e.workers()
+	run, err := s.Run()
 	if err != nil {
 		return CellResult{}, err
 	}
-	jobs := make([]seedJob, e.seeds())
-	for seed := range jobs {
-		jobs[seed] = seedJob{cell: c, gen: gen, seed: seed}
-	}
-	runs, err := e.runSeedJobs(jobs)
-	if err != nil {
-		return CellResult{}, err
-	}
-	return CellResult{Cell: c, Best: BestOf(runs)}, nil
+	return CellResult{Cell: c, Best: run}, nil
 }
 
 // Grid holds one network's full benchmark x protocol results.

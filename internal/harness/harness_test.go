@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"tsnoop/internal/spec"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
+	"tsnoop/internal/trace"
 	"tsnoop/internal/workload"
 )
 
@@ -307,4 +310,57 @@ func TestAblationReportRuns(t *testing.T) {
 			t.Fatalf("ablation report missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// A bad cell fails the grid before any simulation starts, wherever it
+// sits in the presentation order.
+func TestStreamGridRejectsBadCellUpFront(t *testing.T) {
+	e := quick()
+	e.Benchmarks = []string{"barnes", "specjbb"}
+	cells, errs := 0, 0
+	for _, err := range e.StreamGrid(context.Background(), system.NetButterfly) {
+		if err == nil {
+			cells++
+			continue
+		}
+		errs++
+		if !strings.Contains(err.Error(), "specjbb") {
+			t.Errorf("error %q does not name the benchmark", err)
+		}
+	}
+	if cells != 0 || errs != 1 {
+		t.Fatalf("grid yielded %d cells and %d errors, want 0 and 1", cells, errs)
+	}
+}
+
+// An explicit quota past a recorded trace's end wraps the replayed
+// stream. Every harness run path must reject it with the spec's error,
+// as tsnoop run does, rather than report figures measured on re-walked
+// data.
+func TestTraceQuotaPastRecordingRejected(t *testing.T) {
+	const nodes = 4
+	path := filepath.Join(t.TempDir(), "barnes.tstrace")
+	if err := trace.Capture(workload.Barnes(nodes), nodes, 1, 50, 100).WriteFile(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	e := FromSpec(spec.New("trace:"+path, spec.WithNodes(nodes), spec.WithQuota(1000), spec.WithWorkers(1)))
+	e.Protocols = []string{system.ProtoDirOpt}
+	const want = "wrapped its recorded stream"
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", what, err, want)
+		}
+	}
+	var err error
+	for _, err = range e.StreamGrid(context.Background(), system.NetButterfly) {
+		if err != nil {
+			break
+		}
+	}
+	check("StreamGrid", err)
+	_, err = e.RunCell(e.Cells(system.NetButterfly)[0])
+	check("RunCell", err)
+	_, err = e.Table3()
+	check("Table3", err)
 }

@@ -1,24 +1,15 @@
 package harness
 
-// This file is the concurrent experiment engine. Every grid cell,
-// perturbed seed, and sweep point builds its own sim.Kernel, RNG, and
-// system.System, so runs are independent and fan out across a worker
-// pool (internal/parallel). Jobs are enumerated in the serial
-// presentation order and results are collected by index, which keeps
-// every figure and table rendering byte-identical to a Workers=1 run.
-// Per-run machine configurations all derive from spec.Spec (cellSpec),
-// so the quota and knob resolution rules cannot drift between the grid,
-// the sweeps, and the tables.
+// This file derives the specs an experiment runs. Every grid cell,
+// perturbed seed, sweep point, and Table 3 row is a spec.Spec executed
+// by Spec.Run, so the quota and knob resolution rules, and every
+// run-level check (such as a replayed trace wrapping its stream), are
+// the same for the grid, the sweeps, the tables, and tsnoop run.
 
 import (
-	"fmt"
-
 	"tsnoop/internal/parallel"
 	"tsnoop/internal/sim"
 	"tsnoop/internal/spec"
-	"tsnoop/internal/stats"
-	"tsnoop/internal/system"
-	"tsnoop/internal/workload"
 )
 
 // workers resolves the experiment's Workers knob (0 = one per CPU).
@@ -33,32 +24,23 @@ func (e Experiment) seeds() int {
 	return e.Seeds
 }
 
-// cellSpec derives the spec a grid cell, sweep point, or table row
-// starts from: the experiment's Base knobs with the cell coordinates
-// and the experiment's machine-scale fields applied. Seed fan-out and
-// perturbation are owned by the engine (runSeed), so the base's
-// PerturbNS is cleared here.
-func (e Experiment) cellSpec(bench, proto, network string) spec.Spec {
+// CellSpec derives the one self-contained spec whose Run reproduces a
+// cell's reported result: the experiment's Base knobs with the cell
+// coordinates, the machine-scale fields, and the experiment's seed
+// fan-out and perturbation applied, so CellSpec(c).Run() equals the
+// cell's streamed Best. It is also the spec every sweep point starts
+// from, and the identity the service layer content-addresses grid
+// cells by.
+func (e Experiment) CellSpec(c Cell) spec.Spec {
 	s := spec.Default()
 	if e.Base != nil {
 		s = *e.Base
 	}
-	s.Benchmark, s.Protocol, s.Network = bench, proto, network
+	s.Benchmark, s.Protocol, s.Network = c.Benchmark, c.Protocol, c.Network
 	s.Nodes = e.Nodes
 	s.QuotaScale, s.WarmupScale = e.QuotaScale, e.WarmupScale
-	s.Seeds = 1
-	s.PerturbNS = 0
-	return s
-}
-
-// CellSpec derives the one self-contained spec whose Run reproduces a
-// cell's reported result: the per-cell base (cellSpec) with the engine's
-// seed fan-out and perturbation rules (runSeed) folded in, so
-// CellSpec(c).Run() equals the cell's streamed Best. It is the identity
-// the service layer content-addresses grid cells by.
-func (e Experiment) CellSpec(c Cell) spec.Spec {
-	s := e.cellSpec(c.Benchmark, c.Protocol, c.Network)
 	s.Seeds = e.seeds()
+	s.PerturbNS = 0
 	if e.Seeds > 1 {
 		s.PerturbNS = int64(e.PerturbMax / sim.Nanosecond)
 	}
@@ -75,72 +57,4 @@ func (e Experiment) Cells(network string) []Cell {
 		}
 	}
 	return cells
-}
-
-// seedJob is one simulation in a grid run: a cell plus a perturbation
-// seed. The generator is cloned per job so concurrent jobs never share
-// workload state.
-type seedJob struct {
-	cell Cell
-	gen  workload.Generator
-	seed int
-}
-
-// checkCloneable rejects job lists whose generators cannot produce
-// fresh-state copies. Generators are stateful and one looked-up
-// generator backs every job of its cell group, so each must be
-// cloneable — a silent shared-state fallback would race across workers.
-func checkCloneable(jobs []seedJob) error {
-	for _, j := range jobs {
-		if _, ok := j.gen.(workload.Cloner); !ok {
-			return fmt.Errorf("harness: generator %q does not implement workload.Cloner (seed runs need fresh generator state)", j.gen.Name())
-		}
-	}
-	return nil
-}
-
-// runSeedJobs executes jobs across the pool, results in job order.
-func (e Experiment) runSeedJobs(jobs []seedJob) ([]*stats.Run, error) {
-	if err := checkCloneable(jobs); err != nil {
-		return nil, err
-	}
-	return parallel.Map(e.workers(), len(jobs), func(i int) (*stats.Run, error) {
-		j := jobs[i]
-		return e.runSeed(j.cell, workload.CloneOf(j.gen), j.seed)
-	})
-}
-
-// runSeed executes one perturbed run of a cell on a fresh generator.
-// Per-cell seeds count up from the base spec's Seed (default 1), so a
-// -seed flag shifts the whole window.
-func (e Experiment) runSeed(c Cell, gen workload.Generator, seed int) (*stats.Run, error) {
-	s := e.cellSpec(c.Benchmark, c.Protocol, c.Network)
-	s.Seed += uint64(seed)
-	if e.Seeds > 1 {
-		s.PerturbNS = int64(e.PerturbMax / sim.Nanosecond)
-	}
-	cfg, err := s.ConfigFor(gen)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := system.Build(cfg, gen)
-	if err != nil {
-		return nil, err
-	}
-	return sys.Execute(), nil
-}
-
-// BestOf picks the minimum-runtime run — the paper's reporting rule ("we
-// report the minimum run time from a set of runs") — keeping the
-// earliest run on ties. Returns nil for no runs.
-func BestOf(runs []*stats.Run) *stats.Run { return stats.Best(runs) }
-
-// lookupGen is ByName with the error the harness reports for unknown
-// benchmark names. Names may use any registered scheme (trace:<path>).
-func lookupGen(name string, nodes int) (workload.Generator, error) {
-	gen, err := workload.ByName(name, nodes)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	return gen, nil
 }

@@ -14,62 +14,47 @@ import (
 
 	"tsnoop/internal/parallel"
 	"tsnoop/internal/stats"
-	"tsnoop/internal/workload"
 )
-
-// failSeq yields a single error.
-func failSeq[T any](err error) iter.Seq2[T, error] {
-	return func(yield func(T, error) bool) {
-		var zero T
-		yield(zero, err)
-	}
-}
 
 // StreamGrid executes every benchmark x protocol cell for one network
 // and yields each CellResult in presentation order as soon as its
-// perturbed seeds finish. The full benchmark x protocol x seed job list
-// fans out across the worker pool, so no worker idles waiting for a
-// slow cell's seeds; collecting the stream is byte-identical at any
-// worker count. Cancelling ctx stops new simulations and yields the
-// context error.
+// perturbed seeds finish. Job i is one seed of cell i/seeds: the cell's
+// CellSpec narrowed to seed Seed+i%seeds and run by Spec.Run. The full
+// benchmark x protocol x seed job list fans out across the worker pool,
+// so no worker idles waiting for a slow cell's seeds; collecting the
+// stream is byte-identical at any worker count. Every cell's spec is
+// resolved before the first simulation, so a bad cell fails the grid
+// before any work starts. Cancelling ctx stops new simulations and
+// yields the context error.
 func (e Experiment) StreamGrid(ctx context.Context, network string) iter.Seq2[CellResult, error] {
-	seeds := e.seeds()
-	var cells []Cell
-	var jobs []seedJob
-	for _, b := range e.benchmarks() {
-		gen, err := lookupGen(b, e.Nodes)
-		if err != nil {
-			return failSeq[CellResult](err)
-		}
-		for _, p := range e.protocols() {
-			c := Cell{Benchmark: b, Protocol: p, Network: network}
-			cells = append(cells, c)
-			for seed := 0; seed < seeds; seed++ {
-				jobs = append(jobs, seedJob{cell: c, gen: gen, seed: seed})
+	return func(yield func(CellResult, error) bool) {
+		cells := e.Cells(network)
+		for _, c := range cells {
+			if _, _, err := e.CellSpec(c).Config(); err != nil {
+				yield(CellResult{}, err)
+				return
 			}
 		}
-	}
-	if err := checkCloneable(jobs); err != nil {
-		return failSeq[CellResult](err)
-	}
-	return func(yield func(CellResult, error) bool) {
-		buf := make([]*stats.Run, 0, seeds)
+		seeds := e.seeds()
+		runs := make([]*stats.Run, 0, seeds)
 		cell := 0
-		for run, err := range parallel.Stream(ctx, e.workers(), len(jobs), func(i int) (*stats.Run, error) {
-			j := jobs[i]
-			return e.runSeed(j.cell, workload.CloneOf(j.gen), j.seed)
+		for run, err := range parallel.Stream(ctx, e.workers(), len(cells)*seeds, func(i int) (*stats.Run, error) {
+			s := e.CellSpec(cells[i/seeds])
+			s.Seed += uint64(i % seeds)
+			s.Seeds, s.Workers = 1, 1
+			return s.Run()
 		}) {
 			if err != nil {
 				yield(CellResult{}, err)
 				return
 			}
-			buf = append(buf, run)
-			if len(buf) == seeds {
-				if !yield(CellResult{Cell: cells[cell], Best: BestOf(buf)}, nil) {
+			runs = append(runs, run)
+			if len(runs) == seeds {
+				if !yield(CellResult{Cell: cells[cell], Best: stats.Best(runs)}, nil) {
 					return
 				}
 				cell++
-				buf = buf[:0]
+				runs = runs[:0]
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"tsnoop/internal/parallel"
-	"tsnoop/internal/sim"
 	"tsnoop/internal/spec"
 	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
@@ -126,19 +125,6 @@ func (e Experiment) RunSweep(s *Sweep) (string, error) {
 	return s.Render(pts)
 }
 
-// pointBase derives the spec a sweep point starts from: the cell spec
-// plus the experiment's seed fan-out (unlike grid cells, whose seeds
-// the engine enumerates itself, a sweep point carries its own Seeds and
-// perturbation and reports the minimum runtime).
-func (e Experiment) pointBase(bench, proto, network string) spec.Spec {
-	s := e.cellSpec(bench, proto, network)
-	s.Seeds = e.seeds()
-	if s.Seeds > 1 {
-		s.PerturbNS = int64(e.PerturbMax / sim.Nanosecond)
-	}
-	return s
-}
-
 // nodesSweep measures how machine size shifts the snooping/directory
 // bandwidth trade-off (Section 5: "at larger numbers of processors,
 // directory protocols ... become increasingly attractive"): the TS/DirOpt
@@ -148,7 +134,7 @@ func (e Experiment) nodesSweep(bench string) *Sweep {
 	var points []PointSpec
 	for _, nodes := range sizes {
 		label := fmt.Sprintf("n%d", nodes)
-		ts := e.pointBase(bench, system.ProtoTSSnoop, system.NetButterfly)
+		ts := e.CellSpec(Cell{Benchmark: bench, Protocol: system.ProtoTSSnoop, Network: system.NetButterfly})
 		ts.Nodes = nodes
 		dir := ts
 		dir.Protocol = system.ProtoDirOpt
@@ -181,7 +167,7 @@ func (e Experiment) blockSizeSweep(bench string) *Sweep {
 	var points []PointSpec
 	for _, block := range blocks {
 		label := fmt.Sprintf("b%d", block)
-		ts := e.pointBase(bench, system.ProtoTSSnoop, system.NetButterfly)
+		ts := e.CellSpec(Cell{Benchmark: bench, Protocol: system.ProtoTSSnoop, Network: system.NetButterfly})
 		ts.BlockBytes = block
 		ts.CacheBytes = 4 << 20
 		dir := ts
@@ -235,7 +221,7 @@ func (e Experiment) ablationSweep(bench, network string) *Sweep {
 	}
 	points := make([]PointSpec, len(knobs))
 	for i, k := range knobs {
-		s := e.pointBase(bench, system.ProtoTSSnoop, network)
+		s := e.CellSpec(Cell{Benchmark: bench, Protocol: system.ProtoTSSnoop, Network: network})
 		for _, opt := range k.opts {
 			opt(&s)
 		}

@@ -97,14 +97,14 @@ func Table2Workers(network string, workers int) ([]Table2Row, error) {
 	params := timing.Default()
 	var topo *topology.Topology
 	var err error
-	var meanHops, maxHops int
+	var meanHops int
 	switch network {
 	case system.NetButterfly:
 		topo, err = topology.Butterfly(4)
-		meanHops, maxHops = 3, 3
+		meanHops = 3
 	case system.NetTorus:
 		topo, err = topology.Torus(4, 4)
-		meanHops, maxHops = 2, 4 // the paper's stated mean of 2 links
+		meanHops = 2 // the paper's stated mean of 2 links
 	default:
 		return nil, fmt.Errorf("harness: unknown network %q", network)
 	}
@@ -168,22 +168,17 @@ func Table2Workers(network string, workers int) ([]Table2Row, error) {
 		{Desc: "Block from cache, timestamp snooping (Dnet+Dcache+Dnet)", Analytic: dnet + params.Dcache + dnet, Measured: tsC2CMeasured},
 		{Desc: "Block from cache, directory 3 hops (Dnet+Dmem+Dnet+Dcache+Dnet)", Analytic: 3*dnet + params.Dmem + params.Dcache, Measured: threeHopMeasured},
 	}
-	_ = maxHops
 	return rows, nil
 }
 
 // RenderTable2 renders both networks' Table 2 rows, probing with one
 // worker per CPU.
-func RenderTable2() (string, error) { return RenderTable2Workers(0) }
+func RenderTable2() (string, error) { return RenderTable2Networks(0, Networks...) }
 
-// RenderTable2Workers is RenderTable2 with an explicit worker bound
-// (0 = one per CPU, 1 = serial). The networks render sequentially so
-// the bound caps total concurrent probes rather than multiplying.
-func RenderTable2Workers(workers int) (string, error) {
-	return RenderTable2Networks(workers, Networks...)
-}
-
-// RenderTable2Networks renders Table 2 for a chosen subset of networks.
+// RenderTable2Networks renders Table 2 for a chosen subset of networks
+// with an explicit worker bound (0 = one per CPU, 1 = serial). The
+// networks render sequentially so the bound caps total concurrent
+// probes rather than multiplying.
 func RenderTable2Networks(workers int, networks ...string) (string, error) {
 	var b strings.Builder
 	for _, net := range networks {
@@ -216,22 +211,18 @@ type Table3Row struct {
 func (e Experiment) Table3() ([]Table3Row, error) {
 	names := e.benchmarks()
 	return parallel.Map(e.workers(), len(names), func(i int) (Table3Row, error) {
-		name := names[i]
-		gen, err := lookupGen(name, e.Nodes)
+		s := e.CellSpec(Cell{Benchmark: names[i], Protocol: system.ProtoDirOpt, Network: system.NetButterfly})
+		s.Seeds, s.PerturbNS = 1, 0 // one unperturbed run per benchmark
+		run, err := s.Run()
 		if err != nil {
 			return Table3Row{}, err
 		}
-		cfg, err := e.cellSpec(name, system.ProtoDirOpt, system.NetButterfly).ConfigFor(gen)
+		gen, err := s.Generator()
 		if err != nil {
 			return Table3Row{}, err
 		}
-		s, err := system.Build(cfg, gen)
-		if err != nil {
-			return Table3Row{}, err
-		}
-		run := s.Execute()
 		return Table3Row{
-			Benchmark:   name,
+			Benchmark:   names[i],
 			FootprintMB: float64(gen.FootprintBytes()) / (1 << 20),
 			TouchedMB:   float64(run.DataTouched) / (1 << 20),
 			TotalMisses: run.TotalMisses(),

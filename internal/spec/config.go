@@ -58,7 +58,7 @@ func (s Spec) Config() (system.Config, workload.Generator, error) {
 }
 
 // ConfigFor builds the machine configuration for a pre-resolved
-// generator (the harness clones one generator across many runs). Phase
+// generator (Config resolves one from the benchmark name). Phase
 // quotas resolve with one precedence everywhere: an explicit
 // Warmup/Quota wins, then a workload that carries its own quotas (a
 // recorded trace), then the benchmark defaults scaled by

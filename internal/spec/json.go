@@ -9,9 +9,10 @@ import (
 // JSON renders the Spec as its canonical JSON object. Every field is
 // emitted explicitly under a stable snake_case name, so stored specs
 // stay readable as the defaults evolve, and FromJSON(s.JSON()) == s.
-// (Exception: instrumentation knobs that Normalize clears — currently
-// only Verify — are omitted when false, so their introduction does not
-// perturb Canonical() hashes and existing result stores stay valid.)
+// (Exception: the instrumentation knobs that Normalize clears —
+// Verify, Metrics and Spans — are omitted when false, so their
+// introduction does not perturb Canonical() hashes and existing result
+// stores stay valid.)
 func (s Spec) JSON() []byte {
 	data, err := json.Marshal(s)
 	if err != nil {

@@ -63,11 +63,11 @@ func (t *Trace) Accesses() int64 {
 }
 
 // Capture draws perCPU accesses per processor straight from gen, using
-// the same seed-to-stream derivation as a live run (system.Build seeds a
-// root RNG and Splits one child per node, in node order), and returns
-// them as a Trace. Because generator state and RNGs are both per-CPU,
-// the captured streams are exactly what a live simulation with this
-// seed would consume — independent of protocol, network, and event
+// the same seed-to-stream derivation as a live run (building a system
+// seeds a root RNG and Splits one child per node, in node order), and
+// returns them as a Trace. Because generator state and RNGs are both
+// per-CPU, the captured streams are exactly what a live simulation with
+// this seed would consume — independent of protocol, network, and event
 // interleaving — so replaying them reproduces the live run bit-exactly.
 func Capture(gen workload.Generator, cpus int, seed uint64, warmupPerCPU, measurePerCPU int) *Trace {
 	root := sim.NewRand(seed)
@@ -178,14 +178,9 @@ func (r *Replayer) Next(cpu int, _ *sim.Rand) workload.Access {
 	return a
 }
 
-// CloneGenerator implements workload.Cloner: the clone shares the
-// decoded streams (read-only) but replays from the start.
-func (r *Replayer) CloneGenerator() workload.Generator { return NewReplayer(r.trace) }
-
-// The compiler keeps the wrap-detection and clone contracts honest.
+// The compiler keeps the wrap-detection and quota contracts honest.
 var (
 	_ workload.Wrapping = (*Replayer)(nil)
-	_ workload.Cloner   = (*Replayer)(nil)
 	_ workload.Quotaed  = (*Replayer)(nil)
 )
 

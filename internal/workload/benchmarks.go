@@ -208,8 +208,8 @@ func RegisterScheme(scheme string, resolve func(arg string, cpus int) (Generator
 
 // ByName returns a fresh generator for a workload name: one of the paper
 // benchmarks, or a registered scheme name such as "trace:<path>".
-// Generators are stateful; every run needs a fresh one (build one per
-// run, or CloneOf a looked-up generator).
+// Generators are stateful; every run needs a fresh one, so look one up
+// per run.
 func ByName(name string, cpus int) (Generator, error) {
 	if cpus < 1 {
 		return nil, fmt.Errorf("workload: %q needs at least one cpu, got %d", name, cpus)

@@ -53,26 +53,9 @@ type Generator interface {
 	Next(cpu int, r *sim.Rand) Access
 }
 
-// Cloner is implemented by generators that can produce a fresh-state copy
-// of themselves. Generators are stateful, so every simulation needs its
-// own; the harness clones one looked-up generator per run.
-type Cloner interface {
-	Generator
-	CloneGenerator() Generator
-}
-
-// CloneOf returns a fresh-state copy of g when it implements Cloner, and
-// g itself otherwise.
-func CloneOf(g Generator) Generator {
-	if c, ok := g.(Cloner); ok {
-		return c.CloneGenerator()
-	}
-	return g
-}
-
 // Quotaed is implemented by workloads that carry their own warm-up and
-// measured-phase quotas — recorded traces, whose length fixes both. The
-// harness uses these instead of the benchmark defaults.
+// measured-phase quotas — recorded traces, whose length fixes both.
+// Spec.ConfigFor uses these instead of the benchmark defaults.
 type Quotaed interface {
 	Quotas() (warmupPerCPU, measurePerCPU int)
 }
@@ -257,18 +240,3 @@ func (g *Synthetic) Next(cpu int, r *sim.Rand) Access {
 	}
 	return Access{Block: b, Op: op, Think: think}
 }
-
-// Profile returns a copy of the generator's profile (calibration tooling).
-func (g *Synthetic) Profile() Profile { return g.prof }
-
-// Clone returns an identically configured generator with fresh per-CPU
-// state. Generators are stateful, so every simulation needs its own;
-// cloning lets one ByName lookup feed many (possibly concurrent) runs.
-func (g *Synthetic) Clone() *Synthetic {
-	c := *g
-	c.state = make([]cpuState, g.cpus)
-	return &c
-}
-
-// CloneGenerator implements Cloner.
-func (g *Synthetic) CloneGenerator() Generator { return g.Clone() }
