@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tsnoop/internal/cluster"
+	"tsnoop/internal/service"
 	"tsnoop/internal/spec"
 )
 
@@ -212,14 +213,7 @@ func reportDisposition(stderr io.Writer, resp *http.Response) {
 // too old (or too busy) to answer simply prints less.
 func reportServerSpans(ctx context.Context, stderr io.Writer, base string, resp *http.Response) {
 	if jobID := resp.Header.Get("X-Tsnoop-Job"); jobID != "" {
-		var job struct {
-			State string `json:"state"`
-			Spans struct {
-				QueueWaitUS  int64 `json:"queue_wait_us"`
-				SimulateUS   int64 `json:"simulate_us"`
-				StoreWriteUS int64 `json:"store_write_us"`
-			} `json:"spans"`
-		}
+		var job service.JobStatus
 		if getJSON(ctx, base+"/v1/jobs/"+jobID, &job) == nil {
 			fmt.Fprintf(stderr, "submit: %s %s: queue_wait %dus, simulate %dus, store_write %dus\n",
 				jobID, job.State, job.Spans.QueueWaitUS, job.Spans.SimulateUS, job.Spans.StoreWriteUS)
@@ -229,13 +223,7 @@ func reportServerSpans(ctx context.Context, stderr io.Writer, base string, resp 
 	if traceID == "" {
 		return
 	}
-	var tr struct {
-		Node       string       `json:"node"`
-		DurUS      int64        `json:"dur_us"`
-		Spans      []submitSpan `json:"spans"`
-		RemotePeer string       `json:"remote_peer"`
-		Remote     []submitSpan `json:"remote_spans"`
-	}
+	var tr service.Trace
 	if getJSON(ctx, base+"/v1/traces/"+traceID, &tr) != nil {
 		return
 	}
@@ -247,19 +235,11 @@ func reportServerSpans(ctx context.Context, stderr io.Writer, base string, resp 
 	printSpans(stderr, "  ", tr.Spans)
 	if tr.RemotePeer != "" {
 		fmt.Fprintf(stderr, "submit: forwarded to %s\n", tr.RemotePeer)
-		printSpans(stderr, "    ", tr.Remote)
+		printSpans(stderr, "    ", tr.RemoteSpans)
 	}
 }
 
-// submitSpan mirrors the server's TraceSpan shape.
-type submitSpan struct {
-	Name    string `json:"name"`
-	StartUS int64  `json:"start_us"`
-	DurUS   int64  `json:"dur_us"`
-	Note    string `json:"note"`
-}
-
-func printSpans(w io.Writer, indent string, spans []submitSpan) {
+func printSpans(w io.Writer, indent string, spans []service.TraceSpan) {
 	for _, s := range spans {
 		line := fmt.Sprintf("%s%-12s %8dus", indent, s.Name, s.DurUS)
 		if s.Note != "" {

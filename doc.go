@@ -68,7 +68,11 @@
 // the store (the service strips the knob). The serve subcommand adds
 // wall-clock-side observability that never touches the simulator: a
 // Prometheus text exposition on GET /metrics, slog access logs, and
-// per-job phase spans on GET /v1/jobs/{id}. See the README's
+// per-job phase spans on GET /v1/jobs/{id}. A job records its life once,
+// as the instants that end its phases (queue_wait until its first seed
+// takes a simulation slot, simulate until the best run is encoded,
+// store_write until it is stored), and the job status, the request
+// traces and /metrics all derive from them. See the README's
 // "Observability" section; BENCH_7.json records the overhead envelope.
 //
 // Tracing extends both layers. Inside the simulator, -spans /
@@ -83,8 +87,9 @@
 // request carries an X-Tsnoop-Trace ID minted at the cluster's entry
 // node and propagated on shard forwards; each node records wall-clock
 // phase spans (route, store_get, forward, queue_wait, simulate,
-// store_write, replicate) into a bounded ring served on GET /v1/traces
-// and GET /v1/traces/{id}, a forwarded request embeds the owner's
+// store_write, replicate) at exact offsets from the request's start
+// into a bounded ring served on GET /v1/traces and
+// GET /v1/traces/{id}, a forwarded request embeds the owner's
 // spans via the X-Tsnoop-Trace-Spans response header, and submit
 // -verbose prints the server-side spans for the request it just made.
 // Neither knob moves a spec's canonical hash. See the README's

@@ -47,8 +47,6 @@ type Config struct {
 	Self string
 	// Members is the full static ring (host:port each, including Self).
 	Members []string
-	// Replicas is the virtual nodes per member (0 = DefaultReplicas).
-	Replicas int
 	// Client performs forwards (nil = NewHTTPClient(DefaultTimeouts())).
 	Client *http.Client
 	// Retries is how many times a failed forward is retried before the
@@ -105,7 +103,7 @@ type Cluster struct {
 
 // New builds a cluster node from the static member list.
 func New(cfg Config) (*Cluster, error) {
-	ring, err := NewRing(cfg.Self, cfg.Members, cfg.Replicas)
+	ring, err := NewRing(cfg.Self, cfg.Members, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}

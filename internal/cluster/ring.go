@@ -27,9 +27,10 @@ import (
 )
 
 // DefaultReplicas is the number of virtual nodes each member projects
-// onto the ring when Config.Replicas is zero. 128 points per member
-// keeps the largest shard within a few percent of the mean for any
-// plausible fleet size while the ring stays a few kilobytes.
+// onto a cluster's ring (and onto NewRing's when replicas is zero). 128
+// points per member keeps the largest shard within a few percent of the
+// mean for any plausible fleet size while the ring stays a few
+// kilobytes.
 const DefaultReplicas = 128
 
 // Ring is a static consistent-hash ring over the cluster members.

@@ -364,3 +364,22 @@ func TestTraceQuotaPastRecordingRejected(t *testing.T) {
 	_, err = e.Table3()
 	check("Table3", err)
 }
+
+// A failed sweep point reports the spec's own error, unwrapped, so
+// `tsnoop sweep` prints the same line as `tsnoop run`.
+func TestSweepPointErrorUnwrapped(t *testing.T) {
+	const nodes = 4
+	path := filepath.Join(t.TempDir(), "barnes.tstrace")
+	if err := trace.Capture(workload.Barnes(nodes), nodes, 1, 50, 100).WriteFile(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	s := spec.New("trace:"+path, spec.WithNodes(nodes), spec.WithQuota(1000), spec.WithWorkers(1))
+	_, runErr := s.Run()
+	if runErr == nil || !strings.HasPrefix(runErr.Error(), "spec: ") {
+		t.Fatalf("Spec.Run err = %v, want a spec: error", runErr)
+	}
+	_, err := FromSpec(s).BlockSizeSweep(s.Benchmark)
+	if err == nil || !strings.HasPrefix(err.Error(), "spec: ") {
+		t.Errorf("BlockSizeSweep err = %v, want it unwrapped like Spec.Run's %q", err, runErr)
+	}
+}

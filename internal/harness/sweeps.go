@@ -51,7 +51,7 @@ func runPoint(p PointSpec) (SweepPoint, error) {
 	s.Workers = 1
 	run, err := s.Run()
 	if err != nil {
-		return SweepPoint{}, fmt.Errorf("harness: %w", err)
+		return SweepPoint{}, err
 	}
 	return p.Result(run), nil
 }

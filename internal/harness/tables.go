@@ -7,13 +7,9 @@ import (
 	"tsnoop/internal/cache"
 	"tsnoop/internal/coherence"
 	"tsnoop/internal/parallel"
-	"tsnoop/internal/protocol/directory"
-	"tsnoop/internal/protocol/tssnoop"
 	"tsnoop/internal/sim"
-	"tsnoop/internal/stats"
 	"tsnoop/internal/system"
 	"tsnoop/internal/timing"
-	"tsnoop/internal/topology"
 )
 
 // Table2Row is one unloaded-latency row: the paper's analytic value and
@@ -28,6 +24,7 @@ type Table2Row struct {
 type probeEnv struct {
 	k     *sim.Kernel
 	proto coherence.Protocol
+	nodes int
 }
 
 func (e *probeEnv) access(node int, op coherence.Op, b coherence.Block) sim.Time {
@@ -40,26 +37,20 @@ func (e *probeEnv) access(node int, op coherence.Op, b coherence.Block) sim.Time
 
 func (e *probeEnv) settle(d sim.Duration) { e.k.RunUntil(e.k.Now() + d) }
 
-func newProbe(topo *topology.Topology, proto string, params timing.Params) *probeEnv {
-	k := sim.NewKernel()
-	run := &stats.Run{}
-	cc := cache.Config{SizeBytes: 512 * 1024, Ways: 4, BlockBytes: 64}
-	var p coherence.Protocol
-	switch proto {
-	case system.ProtoTSSnoop:
-		opts := tssnoop.DefaultOptions(params)
-		opts.Cache = cc
-		p = tssnoop.New(k, topo, params, run, nil, opts)
-	case system.ProtoDirOpt:
-		opts := directory.DefaultOptions(directory.Opt)
-		opts.Cache = cc
-		p = directory.New(k, topo, params, run, nil, opts)
-	default:
-		panic("probe: unsupported protocol " + proto)
+// newProbe builds the paper's machine for one protocol and network, with
+// 512 KiB L2s and the address network's ordering assertions on, and
+// lets its logical time reach steady state.
+func newProbe(proto, network string) (*probeEnv, error) {
+	cfg := system.DefaultConfig(proto, network)
+	cfg.Cache = cache.Config{SizeBytes: 512 * 1024, Ways: 4, BlockBytes: 64}
+	cfg.Verify = true
+	s, err := system.Build(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	env := &probeEnv{k: k, proto: p}
-	env.settle(300 * sim.Nanosecond) // let logical time reach steady state
-	return env
+	env := &probeEnv{k: s.K, proto: s.Proto, nodes: cfg.Nodes}
+	env.settle(300 * sim.Nanosecond)
+	return env, nil
 }
 
 // blockFor picks the i-th fresh block homed at the given node.
@@ -95,39 +86,33 @@ func Table2(network string) ([]Table2Row, error) { return Table2Workers(network,
 // per CPU, 1 = serial). Every worker count measures identical rows.
 func Table2Workers(network string, workers int) ([]Table2Row, error) {
 	params := timing.Default()
-	var topo *topology.Topology
-	var err error
 	var meanHops int
 	switch network {
 	case system.NetButterfly:
-		topo, err = topology.Butterfly(4)
 		meanHops = 3
 	case system.NetTorus:
-		topo, err = topology.Torus(4, 4)
 		meanHops = 2 // the paper's stated mean of 2 links
 	default:
 		return nil, fmt.Errorf("harness: unknown network %q", network)
 	}
-	if err != nil {
-		return nil, err
-	}
-	nodes := topo.Nodes()
 	dnet := params.Dnet(meanHops)
 
-	// The three measurements drive independent probe kernels, so they run
-	// concurrently; each closure owns its probe environment.
-	probes := []func() sim.Time{
+	// The three measurements drive independent probe machines, so they
+	// run concurrently; each owns its machine.
+	probes := []struct {
+		proto   string
+		measure func(p *probeEnv) sim.Time
+	}{
 		// Memory latency measured on the directory protocol (its request
 		// and response paths are exact).
-		func() sim.Time {
-			dir := newProbe(topo, system.ProtoDirOpt, params)
-			return meanOverPairs(nodes, func(req, home, trial int) sim.Time {
-				return dir.access(req, coherence.Load, blockFor(home, trial, nodes))
+		{system.ProtoDirOpt, func(dir *probeEnv) sim.Time {
+			return meanOverPairs(dir.nodes, func(req, home, trial int) sim.Time {
+				return dir.access(req, coherence.Load, blockFor(home, trial, dir.nodes))
 			})
-		},
+		}},
 		// Directory 3-hop: owner takes M first, then the requester loads.
-		func() sim.Time {
-			dir3 := newProbe(topo, system.ProtoDirOpt, params)
+		{system.ProtoDirOpt, func(dir3 *probeEnv) sim.Time {
+			nodes := dir3.nodes
 			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
 				home := (owner + 5) % nodes // a third party (wraps over all homes)
 				if home == req {
@@ -138,10 +123,10 @@ func Table2Workers(network string, workers int) ([]Table2Row, error) {
 				dir3.settle(sim.Microsecond)
 				return dir3.access(req, coherence.Load, b)
 			})
-		},
+		}},
 		// Timestamp snooping cache-to-cache.
-		func() sim.Time {
-			ts := newProbe(topo, system.ProtoTSSnoop, params)
+		{system.ProtoTSSnoop, func(ts *probeEnv) sim.Time {
+			nodes := ts.nodes
 			return meanOverPairs(nodes, func(req, owner, trial int) sim.Time {
 				home := (owner + 5) % nodes
 				if home == req {
@@ -152,10 +137,14 @@ func Table2Workers(network string, workers int) ([]Table2Row, error) {
 				ts.settle(sim.Microsecond)
 				return ts.access(req, coherence.Load, b)
 			})
-		},
+		}},
 	}
 	measured, err := parallel.Map(workers, len(probes), func(i int) (sim.Time, error) {
-		return probes[i](), nil
+		env, err := newProbe(probes[i].proto, network)
+		if err != nil {
+			return 0, err
+		}
+		return probes[i].measure(env), nil
 	})
 	if err != nil {
 		return nil, err

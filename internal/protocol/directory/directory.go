@@ -64,10 +64,7 @@ const (
 type Options struct {
 	Variant Variant
 	Cache   cache.Config
-	// RetryBackoff is the base delay before re-sending a nacked request
-	// (DirClassic); each retry adds uniform jitter of the same magnitude.
-	RetryBackoff sim.Duration
-	// RetrySeed seeds the per-node backoff jitter.
+	// RetrySeed seeds the per-node jitter of the nack retry backoff.
 	RetrySeed uint64
 	// Probe, when non-nil, records deterministic protocol telemetry:
 	// MSHR occupancy, miss-wait latency, and per-kind dispatch counts.
@@ -78,10 +75,9 @@ type Options struct {
 // DefaultOptions returns the configuration used in the paper's runs.
 func DefaultOptions(v Variant) Options {
 	return Options{
-		Variant:      v,
-		Cache:        cache.DefaultConfig(),
-		RetryBackoff: 60 * sim.Nanosecond,
-		RetrySeed:    1,
+		Variant:   v,
+		Cache:     cache.DefaultConfig(),
+		RetrySeed: 1,
 	}
 }
 
@@ -541,13 +537,17 @@ func bitIndex(v uint64) int {
 	return idx
 }
 
+// retryBackoff is the base delay before re-sending a nacked request
+// (DirClassic); each retry adds uniform jitter of the same magnitude.
+const retryBackoff = 60 * sim.Nanosecond
+
 // reqNack handles a NACK: retry after backoff with jitter.
 func (n *node) reqNack(m msg) {
 	if n.mshr == nil || n.mshr.block != m.block {
 		return // stale nack for an already-satisfied retry
 	}
 	n.p.run.Retries++
-	back := n.p.opts.RetryBackoff + n.rng.Duration(n.p.opts.RetryBackoff)
+	back := retryBackoff + n.rng.Duration(retryBackoff)
 	n.p.k.AfterCall(back, retryRequest, n, nil, int64(m.block))
 }
 

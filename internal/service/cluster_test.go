@@ -397,3 +397,39 @@ func TestReadyzDistinctFromHealthz(t *testing.T) {
 	sv.SetReady(false, "draining")
 	check(http.StatusServiceUnavailable, "draining")
 }
+
+// A cluster request is prepared once, at the entry node: a metrics:true
+// submission to a non-owner node is forwarded as the plain experiment,
+// so the owner stores the same bytes, under the same key, as a plain
+// submission gets.
+func TestClusterForwardStoresPlainExperiment(t *testing.T) {
+	nodes := startCluster(t, 3, nil, 0)
+	plain := specOwnedBy(t, nodes, 1)
+	instrumented := plain
+	instrumented.Metrics = true
+	instrumented.Spans = true
+
+	first := postJSON(t, nodes[0].url+"/v1/runs", instrumented.JSON())
+	if got := first.Header.Get("X-Tsnoop-Remote"); got != nodes[1].addr {
+		t.Fatalf("X-Tsnoop-Remote = %q, want %q", got, nodes[1].addr)
+	}
+	if got := first.Header.Get("X-Tsnoop-Key"); got != plain.Canonical() {
+		t.Errorf("instrumented key %s, want the plain canonical %s", got, plain.Canonical())
+	}
+	firstBody := readBody(t, first)
+	if bytes.Contains(firstBody, []byte(`"metrics"`)) {
+		t.Errorf("forwarded answer carries a metrics block:\n%s", firstBody)
+	}
+
+	second := postJSON(t, nodes[1].url+"/v1/runs", plain.JSON())
+	if got := second.Header.Get("X-Tsnoop-Cache"); got != CacheHit {
+		t.Errorf("plain submission to the owner X-Tsnoop-Cache = %q, want %q", got, CacheHit)
+	}
+	if got := readBody(t, second); !bytes.Equal(got, firstBody) {
+		t.Fatalf("owner's stored bytes differ from the forwarded answer:\n got: %s\nwant: %s", got, firstBody)
+	}
+	stored, ok, err := nodes[1].sv.store.Get(plain.Canonical())
+	if err != nil || !ok || !bytes.Equal(stored, bytes.TrimSuffix(firstBody, []byte("\n"))) {
+		t.Fatalf("owner store under the plain key = %q (found %v, %v), want the forwarded answer", stored, ok, err)
+	}
+}

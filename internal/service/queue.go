@@ -55,46 +55,96 @@ type JobStatus struct {
 	StoreError string    `json:"store_error,omitempty"`
 	Created    time.Time `json:"created"`
 	Finished   time.Time `json:"finished,omitzero"`
-	// Spans break the job's wall-clock life into phases; each fills in as
-	// the phase completes, so a running job already shows its queue wait.
+	// Spans break the job's wall-clock life into consecutive phases; each
+	// fills in as the phase completes, so a running job already shows its
+	// queue wait.
 	Spans JobSpans `json:"spans"`
 }
 
 // JobSpans are per-job phase timings in microseconds of wall clock:
-// how long the job sat queued before its first seed started, how long
-// simulation (all seeds, plus result encoding) took, and how long the
-// store write took. Wall-clock time never reaches the simulator — these
-// time the service around it.
+// how long the job sat queued before its first seed took a simulation
+// slot, how long simulation (all seeds, plus result encoding) took, and
+// how long the store write took. A job that fails before any seed gets
+// a slot spends its whole life in QueueWaitUS. Wall-clock time never
+// reaches the simulator — these time the service around it.
 type JobSpans struct {
 	QueueWaitUS  int64 `json:"queue_wait_us"`
 	SimulateUS   int64 `json:"simulate_us"`
 	StoreWriteUS int64 `json:"store_write_us"`
 }
 
-// job is the mutable record behind a JobStatus.
+// job is the mutable record behind a JobStatus. Its life is recorded
+// once, as the instants that bound its phases: created, started (the
+// first seed took a simulation slot), simulated (the best run is
+// encoded) and finished (stored, or failed). Every view — JobStatus,
+// the request trace, /metrics — derives from them.
 type job struct {
 	mu     sync.Mutex
-	status JobStatus
+	status JobStatus // snapshot derives Created, Finished and Spans
+	// created, started, simulated, finished are zero until reached.
+	created, started, simulated, finished time.Time
 }
 
 func (j *job) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status
+	st := j.status
+	st.Created = j.created.UTC()
+	if !j.finished.IsZero() {
+		st.Finished = j.finished.UTC()
+	}
+	durs := []*int64{&st.Spans.QueueWaitUS, &st.Spans.SimulateUS, &st.Spans.StoreWriteUS}
+	for i, sp := range j.phasesLocked(j.created) {
+		*durs[i] = sp.DurUS
+	}
+	return st
 }
 
-func (j *job) start(total int, now time.Time) {
+// phases lays the job's ended phases (queue_wait, simulate,
+// store_write) out as spans at microsecond offsets from origin.
+func (j *job) phases(origin time.Time) []TraceSpan {
 	j.mu.Lock()
-	j.status.State = JobRunning
-	j.status.SeedsTotal = total
-	j.status.Spans.QueueWaitUS = now.Sub(j.status.Created).Microseconds()
+	defer j.mu.Unlock()
+	return j.phasesLocked(origin)
+}
+
+// phasesLocked is phases with j.mu held. Each phase starts where the
+// previous one ended, both instants truncated to whole microseconds
+// after creation, so the spans tile exactly and every view reports the
+// same durations. A failed job's unreached phases end at its finish: one
+// that never got a slot spends its whole life in queue_wait.
+func (j *job) phasesLocked(origin time.Time) []TraceSpan {
+	names := [3]string{"queue_wait", "simulate", "store_write"}
+	base := j.created.Sub(origin).Microseconds()
+	spans := make([]TraceSpan, 0, 3)
+	var from int64
+	for i, end := range [3]time.Time{j.started, j.simulated, j.finished} {
+		if end.IsZero() {
+			end = j.finished
+		}
+		if end.IsZero() {
+			break
+		}
+		to := end.Sub(j.created).Microseconds()
+		spans = append(spans, TraceSpan{Name: names[i], StartUS: base + from, DurUS: to - from})
+		from = to
+	}
+	return spans
+}
+
+// start marks the job running when its first seed takes a slot.
+func (j *job) start() {
+	j.mu.Lock()
+	if j.started.IsZero() {
+		j.started = time.Now()
+		j.status.State = JobRunning
+	}
 	j.mu.Unlock()
 }
 
-func (j *job) setSpans(simulate, storeWrite time.Duration) {
+func (j *job) simulatedNow() {
 	j.mu.Lock()
-	j.status.Spans.SimulateUS = simulate.Microseconds()
-	j.status.Spans.StoreWriteUS = storeWrite.Microseconds()
+	j.simulated = time.Now()
 	j.mu.Unlock()
 }
 
@@ -110,9 +160,9 @@ func (j *job) addWaiter() {
 	j.mu.Unlock()
 }
 
-func (j *job) finish(err, storeErr error, now time.Time) {
+func (j *job) finish(err, storeErr error) {
 	j.mu.Lock()
-	j.status.Finished = now
+	j.finished = time.Now()
 	if err != nil {
 		j.status.State, j.status.Error = JobFailed, err.Error()
 	} else {
@@ -191,7 +241,7 @@ type Queue struct {
 	nextID  int64
 }
 
-// DefaultKeep is the finished-job history bound when Config.Keep is 0.
+// DefaultKeep is the finished-job history bound when NewQueue gets keep 0.
 const DefaultKeep = 1024
 
 // NewQueue builds a queue over a store. workers bounds concurrent
@@ -226,18 +276,32 @@ func NewQueue(store *Store, workers, keep int, sim SimFunc, base context.Context
 // paths. ctx bounds only this caller's wait — an already-started job
 // keeps running for other waiters and the store.
 func (q *Queue) Do(ctx context.Context, s spec.Spec) (Result, error) {
-	if err := s.Validate(); err != nil {
+	s, key, err := prepare(s)
+	if err != nil {
 		return Result{}, err
 	}
-	// The store's contract is byte-identical payloads per canonical key,
-	// and Normalize clears the metrics and spans knobs (an instrumented
-	// run is the same experiment), so an instrumented rendering could
-	// collide with the plain one under the same key. The service answers
-	// the experiment; telemetry stays a local-CLI concern.
+	return q.do(ctx, s, key)
+}
+
+// prepare is the request preamble, run once per request: it validates
+// the spec, clears its instrumentation knobs, and computes its
+// canonical key. The store's contract is byte-identical payloads per
+// canonical key, and Normalize clears the metrics and spans knobs (an
+// instrumented run is the same experiment), so an instrumented
+// rendering could collide with the plain one under the same key. The
+// service answers the experiment; telemetry stays a local-CLI concern.
+func prepare(s spec.Spec) (spec.Spec, string, error) {
+	if err := s.Validate(); err != nil {
+		return s, "", err
+	}
 	s.Metrics = false
 	s.Spans = false
+	return s, s.Canonical(), nil
+}
+
+// do is Do for a spec prepare has already vetted under key.
+func (q *Queue) do(ctx context.Context, s spec.Spec, key string) (Result, error) {
 	at := traceFrom(ctx)
-	key := s.Canonical()
 	getStart := time.Now()
 	if data, ok, err := q.store.Get(key); err != nil {
 		return Result{}, err
@@ -272,11 +336,11 @@ func (q *Queue) wait(ctx context.Context, key string, f *flight, shared bool) (R
 		if f.err != nil {
 			return Result{}, f.err
 		}
-		st := f.job.snapshot()
-		// The job's wall-clock phases tile into the waiting request's
-		// trace; a joined request shows the shared job's phases too.
-		traceFrom(ctx).phases(st.ID, st.Spans)
-		return Result{Key: key, JobID: st.ID, Data: f.data, Run: f.run, Shared: shared}, nil
+		// The job's wall-clock phases join the waiting request's trace; a
+		// joined request shows the shared job's phases too.
+		id := f.job.status.ID // fixed at creation
+		traceFrom(ctx).jobPhases(id, f.job)
+		return Result{Key: key, JobID: id, Data: f.data, Run: f.run, Shared: shared}, nil
 	case <-ctx.Done():
 		return Result{}, ctx.Err()
 	}
@@ -287,13 +351,13 @@ func (q *Queue) wait(ctx context.Context, key string, f *flight, shared bool) (R
 // queued or running are never evicted).
 func (q *Queue) newJobLocked(key string, s spec.Spec, traceID string) *job {
 	q.nextID++
-	j := &job{status: JobStatus{
-		ID:      fmt.Sprintf("job-%06d", q.nextID),
-		Key:     key,
-		State:   JobQueued,
-		Spec:    s,
-		TraceID: traceID,
-		Created: time.Now().UTC(),
+	j := &job{created: time.Now(), status: JobStatus{
+		ID:         fmt.Sprintf("job-%06d", q.nextID),
+		Key:        key,
+		State:      JobQueued,
+		Spec:       s,
+		SeedsTotal: s.Seeds,
+		TraceID:    traceID,
 	}}
 	q.jobs[j.status.ID] = j
 	q.order = append(q.order, j.status.ID)
@@ -325,27 +389,23 @@ func (q *Queue) execute(f *flight, s spec.Spec, key string) {
 		close(f.done)
 		q.inflight.Done()
 	}()
-	simStart := time.Now()
 	run, err := q.runSeeds(q.base, s, f.job)
 	if err == nil {
 		f.data, err = json.Marshal(run)
 	}
-	simDur := time.Since(simStart)
 	if err != nil {
 		f.err = err
 		f.data = nil
-		f.job.setSpans(simDur, 0)
-		f.job.finish(err, nil, time.Now().UTC())
+		f.job.finish(err, nil)
 		return
 	}
 	f.run = run
+	f.job.simulatedNow()
 	// A failed persist (full or read-only directory) must not discard a
 	// computed result: serve it, keep it in the LRU, and surface the
 	// store trouble on the job instead of degrading every client to 500s.
-	putStart := time.Now()
 	storeErr := q.store.Put(key, f.data)
-	f.job.setSpans(simDur, time.Since(putStart))
-	f.job.finish(nil, storeErr, time.Now().UTC())
+	f.job.finish(nil, storeErr)
 }
 
 // Drain blocks until every in-flight job has finished (or ctx fires) —
@@ -369,10 +429,10 @@ func (q *Queue) Drain(ctx context.Context) error {
 // runSeeds fans the spec's perturbed seed copies across the shared
 // simulation pool — each seed takes one slot, so the concurrency bound
 // holds across all jobs — collects them in seed order, and reports the
-// minimum-runtime run (the paper's rule, same as Spec.Run).
+// minimum-runtime run (the paper's rule, same as Spec.Run). The job
+// stays queued until its first seed takes a slot.
 func (q *Queue) runSeeds(ctx context.Context, s spec.Spec, j *job) (*stats.Run, error) {
 	n := s.Seeds
-	j.start(n, time.Now())
 	runs := make([]*stats.Run, 0, n)
 	for run, err := range parallel.Stream(ctx, n, n, func(i int) (*stats.Run, error) {
 		select {
@@ -381,6 +441,7 @@ func (q *Queue) runSeeds(ctx context.Context, s spec.Spec, j *job) (*stats.Run, 
 			return nil, ctx.Err()
 		}
 		defer func() { <-q.slots }()
+		j.start()
 		one := s
 		one.Seed += uint64(i)
 		one.Seeds = 1

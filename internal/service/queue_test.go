@@ -489,3 +489,106 @@ func TestQueueInjectedSlowSeedFault(t *testing.T) {
 		t.Fatal("injected seed delay did not slow the job")
 	}
 }
+
+// A job waits in the queued state, charged to queue_wait, until its
+// first seed takes a simulation slot: time spent behind another job is
+// not simulation time.
+func TestQueueWaitLastsUntilASlotIsTaken(t *testing.T) {
+	gate := make(chan struct{})
+	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
+		if s.Seed == 1 {
+			<-gate
+		}
+		return &stats.Run{Runtime: 1}, nil
+	}
+	store, _ := OpenStore("", 0)
+	q := NewQueue(store, 1, 0, sim, nil)
+
+	go q.Do(context.Background(), testSpec(1))
+	waitJobStates(t, q, JobRunning)
+	second := make(chan Result, 1)
+	go func() {
+		res, err := q.Do(context.Background(), testSpec(2))
+		if err != nil {
+			t.Error(err)
+		}
+		second <- res
+	}()
+	waitJobStates(t, q, JobRunning, JobQueued)
+	const blocked = 50 * time.Millisecond
+	time.Sleep(blocked)
+	waitJobStates(t, q, JobRunning, JobQueued) // still queued behind the first job
+	if st := q.Jobs()[1]; st.SeedsTotal != 1 || st.Spans != (JobSpans{}) {
+		t.Errorf("queued job = %+v, want seeds_total 1 and no ended phase", st)
+	}
+	close(gate)
+
+	job, ok := q.Job((<-second).JobID)
+	if !ok || job.State != JobDone {
+		t.Fatalf("second job = %+v, want done", job)
+	}
+	if job.Spans.QueueWaitUS < blocked.Microseconds() {
+		t.Errorf("queue_wait = %dus, want >= %dus spent behind the first job", job.Spans.QueueWaitUS, blocked.Microseconds())
+	}
+	if job.Spans.SimulateUS >= blocked.Microseconds() {
+		t.Errorf("simulate = %dus, want the stub's near-zero time, not the wait", job.Spans.SimulateUS)
+	}
+	// Created and Finished are wall-clock readings, the phases monotonic
+	// ones, so the two agree only to within clock slew.
+	life := job.Finished.Sub(job.Created).Microseconds()
+	if sum := job.Spans.QueueWaitUS + job.Spans.SimulateUS + job.Spans.StoreWriteUS; sum < life-1000 || sum > life+1000 {
+		t.Errorf("phases sum to %dus, want the job's %dus life", sum, life)
+	}
+}
+
+// A job that fails before any seed takes a slot spends its whole life
+// in queue_wait.
+func TestQueueJobFailedWhileQueuedIsAllQueueWait(t *testing.T) {
+	gate := make(chan struct{})
+	sim := func(ctx context.Context, s spec.Spec) (*stats.Run, error) {
+		<-gate
+		return &stats.Run{Runtime: 1}, nil
+	}
+	base, cancel := context.WithCancel(context.Background())
+	store, _ := OpenStore("", 0)
+	q := NewQueue(store, 1, 0, sim, base)
+	go q.Do(context.Background(), testSpec(1))
+	waitJobStates(t, q, JobRunning)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := q.Do(context.Background(), testSpec(2))
+		errc <- err
+	}()
+	waitJobStates(t, q, JobRunning, JobQueued)
+	time.Sleep(10 * time.Millisecond)
+	cancel() // the queue shuts down while the second job waits for a slot
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued job returned %v, want context.Canceled", err)
+	}
+	close(gate)
+	job := q.Jobs()[1]
+	if job.State != JobFailed || job.Spans.QueueWaitUS < 10_000 || job.Spans.SimulateUS != 0 || job.Spans.StoreWriteUS != 0 {
+		t.Errorf("job = %+v, want failed with its whole life in queue_wait", job)
+	}
+}
+
+// waitJobStates polls until q's retained jobs, in id order, are in
+// exactly the wanted states.
+func waitJobStates(t *testing.T, q *Queue, want ...string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		jobs := q.Jobs()
+		ok := len(jobs) == len(want)
+		for i := 0; ok && i < len(want); i++ {
+			ok = jobs[i].State == want[i]
+		}
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs = %+v, want states %v", jobs, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -63,8 +63,6 @@ type Config struct {
 	// Workers bounds concurrent simulations across all jobs
 	// (0 = one per CPU).
 	Workers int
-	// Keep bounds the retained finished-job history (0 = DefaultKeep).
-	Keep int
 	// Sim executes one simulation (nil = Spec.RunContext); tests inject
 	// stubs to count or gate executions.
 	Sim SimFunc
@@ -87,9 +85,6 @@ type Config struct {
 	// and /v1/sweeps; past it new streams are refused with 429 +
 	// Retry-After (0 = cluster.DefaultMaxCells, negative = unlimited).
 	MaxCells int
-	// TraceKeep bounds the retained finished-request trace history on
-	// GET /v1/traces (0 = DefaultTraceKeep).
-	TraceKeep int
 }
 
 // Service is the experiment service: a store fronted by a dedup queue,
@@ -130,13 +125,13 @@ func New(cfg Config) (*Service, error) {
 	}
 	return &Service{
 		store:       store,
-		queue:       NewQueue(store, cfg.Workers, cfg.Keep, cfg.Sim, cfg.BaseContext),
+		queue:       NewQueue(store, cfg.Workers, 0, cfg.Sim, cfg.BaseContext),
 		cluster:     cfg.Cluster,
 		shed:        cluster.NewAdmission(budget, "/v1/grids", "/v1/sweeps"),
 		version:     cfg.Version,
 		logger:      cfg.Logger,
 		started:     time.Now(),
-		traces:      newTraceRing(cfg.TraceKeep),
+		traces:      newTraceRing(),
 		readyReason: "starting",
 	}, nil
 }
@@ -160,23 +155,19 @@ func (sv *Service) DoLocal(ctx context.Context, s spec.Spec) (Result, error) {
 }
 
 func (sv *Service) do(ctx context.Context, s spec.Spec, local bool) (Result, error) {
-	if sv.cluster == nil || local {
-		return sv.queue.Do(ctx, s)
-	}
-	if err := s.Validate(); err != nil {
+	s, key, err := prepare(s)
+	if err != nil {
 		return Result{}, err
 	}
-	// Same key discipline as Queue.Do: the service answers the
-	// experiment; telemetry is a local-CLI concern.
-	s.Metrics = false
-	s.Spans = false
+	if sv.cluster == nil || local {
+		return sv.queue.do(ctx, s, key)
+	}
 	at := traceFrom(ctx)
 	routeStart := time.Now()
-	key := s.Canonical()
 	owner, remote := sv.cluster.Route(key)
 	if !remote {
 		at.span("route", routeStart, "local shard")
-		return sv.queue.Do(ctx, s)
+		return sv.queue.do(ctx, s, key)
 	}
 	at.span("route", routeStart, "owner "+owner)
 	// A replicated hot entry (or an earlier local-fallback compute)
@@ -191,6 +182,9 @@ func (sv *Service) do(ctx context.Context, s spec.Spec, local bool) (Result, err
 	at.span("store_get", getStart, "miss")
 	fwdStart := time.Now()
 	fwd, err := sv.cluster.Forward(ctx, owner, s.JSON(), TraceID(ctx))
+	// Each fallback to local compute below reads the store again in
+	// queue.do: a result may land (replicated, or computed here for
+	// another request) while a forward fails.
 	if err != nil {
 		if ctx.Err() != nil {
 			return Result{}, ctx.Err()
@@ -200,13 +194,13 @@ func (sv *Service) do(ctx context.Context, s spec.Spec, local bool) (Result, err
 			// without having paid the dial/retry tax. A skip is counted on
 			// the breaker, not as a forward error.
 			at.span("forward", fwdStart, "breaker open, computing locally")
-			return sv.queue.Do(ctx, s)
+			return sv.queue.do(ctx, s, key)
 		}
 		// Owner unreachable: a dead peer costs a local simulation,
 		// never a failed stream. The forward error is already on the
 		// cluster counters (cluster_forward_error) and the breaker.
 		at.span("forward", fwdStart, "error, degrading to local: "+err.Error())
-		return sv.queue.Do(ctx, s)
+		return sv.queue.do(ctx, s, key)
 	}
 	run, derr := decodeRun(fwd.Data)
 	if derr != nil {
@@ -215,7 +209,7 @@ func (sv *Service) do(ctx context.Context, s spec.Spec, local bool) (Result, err
 		// trips open despite its "successful" HTTP exchanges.
 		sv.cluster.Suspect(owner)
 		at.span("forward", fwdStart, "unreadable answer, degrading to local")
-		return sv.queue.Do(ctx, s)
+		return sv.queue.do(ctx, s, key)
 	}
 	at.span("forward", fwdStart, owner+" "+fwd.Disposition)
 	at.setRemote(owner, fwd.RemoteSpans)

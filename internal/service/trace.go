@@ -22,14 +22,17 @@ import (
 // /metrics counters it never touches the simulator, whose lifecycle
 // spans live in internal/obs and simulated time.
 
-// DefaultTraceKeep bounds the retained finished-trace history per node.
-const DefaultTraceKeep = 256
+// traceKeep bounds the retained finished-trace history per node.
+const traceKeep = 256
 
 // TraceSpan is one wall-clock phase of a request's life on one node.
 // Starts are microsecond offsets from the trace's start, so a span list
 // is meaningful without the absolute clock.
 type TraceSpan struct {
-	Name    string `json:"name"`
+	Name string `json:"name"`
+	// StartUS is the span's start in microseconds after the trace's
+	// start. It is negative for the phases of a joined job that began
+	// before this request arrived.
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`
 	Note    string `json:"note,omitempty"`
@@ -87,32 +90,19 @@ func (a *activeTrace) span(name string, start time.Time, note string) {
 	a.mu.Unlock()
 }
 
-// phases copies a job's wall-clock phase durations into the trace,
-// tiled backwards from now (store_write ends now, simulate before it,
-// queue_wait first). For a joined job the phases may predate this
-// request — the durations are the job's, the placement approximate.
-func (a *activeTrace) phases(jobID string, spans JobSpans) {
+// jobPhases adds a job's ended phases to the trace at their exact
+// offsets from the trace's start. A joined job's early phases may
+// predate this request, so their offsets can be negative.
+func (a *activeTrace) jobPhases(jobID string, j *job) {
 	if a == nil {
 		return
 	}
-	end := time.Since(a.start).Microseconds()
-	note := "job " + jobID
+	spans := j.phases(a.start)
+	for i := range spans {
+		spans[i].Note = "job " + jobID
+	}
 	a.mu.Lock()
-	off := end - spans.StoreWriteUS - spans.SimulateUS - spans.QueueWaitUS
-	if off < 0 {
-		off = 0
-	}
-	for _, p := range []struct {
-		name string
-		dur  int64
-	}{
-		{"queue_wait", spans.QueueWaitUS},
-		{"simulate", spans.SimulateUS},
-		{"store_write", spans.StoreWriteUS},
-	} {
-		a.tr.Spans = append(a.tr.Spans, TraceSpan{Name: p.name, StartUS: off, DurUS: p.dur, Note: note})
-		off += p.dur
-	}
+	a.tr.Spans = append(a.tr.Spans, spans...)
 	a.mu.Unlock()
 }
 
@@ -193,27 +183,23 @@ func newTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// traceRing retains the last cap finished traces, evicting oldest.
+// traceRing retains the last traceKeep finished traces, evicting oldest.
 type traceRing struct {
 	mu   sync.Mutex
-	cap  int
 	list []Trace        // creation order, oldest first
 	byID map[string]int // id -> index in list
 }
 
-func newTraceRing(cap int) *traceRing {
-	if cap <= 0 {
-		cap = DefaultTraceKeep
-	}
-	return &traceRing{cap: cap, byID: make(map[string]int)}
+func newTraceRing() *traceRing {
+	return &traceRing{byID: make(map[string]int)}
 }
 
 func (r *traceRing) add(tr Trace) {
 	r.mu.Lock()
-	if len(r.list) == r.cap {
+	if len(r.list) == traceKeep {
 		delete(r.byID, r.list[0].ID)
 		copy(r.list, r.list[1:])
-		r.list = r.list[:r.cap-1]
+		r.list = r.list[:traceKeep-1]
 		for id, i := range r.byID {
 			r.byID[id] = i - 1
 		}

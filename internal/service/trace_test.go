@@ -248,3 +248,50 @@ func getInto(t *testing.T, url string, v any) {
 		t.Fatalf("%s: %v", url, err)
 	}
 }
+
+// A job-starting request's trace lays the job's phases out back to back
+// at their exact offsets: queue_wait begins after the store lookup that
+// missed, each phase starts where the previous one ended, store_write
+// ends inside the request, and the durations are the job's own.
+func TestTraceJobPhasesBackToBack(t *testing.T) {
+	sv, srv := newTestServer(t, t.TempDir(), fastSim)
+	resp := postJSON(t, srv.URL+"/v1/runs", spec.New("barnes", spec.WithNodes(4), spec.WithQuota(50)).JSON())
+	traceID := resp.Header.Get("X-Tsnoop-Trace")
+	job, _ := sv.Job(resp.Header.Get("X-Tsnoop-Job"))
+	io.Copy(io.Discard, resp.Body)
+
+	var tr Trace
+	getInto(t, srv.URL+"/v1/traces/"+traceID, &tr)
+	byName := map[string]TraceSpan{}
+	for _, sp := range tr.Spans {
+		byName[sp.Name] = sp
+	}
+	get, ok := byName["store_get"]
+	if !ok {
+		t.Fatalf("trace lacks store_get: %+v", tr.Spans)
+	}
+	prevEnd := get.StartUS + get.DurUS
+	jobDurs := []int64{job.Spans.QueueWaitUS, job.Spans.SimulateUS, job.Spans.StoreWriteUS}
+	for i, name := range []string{"queue_wait", "simulate", "store_write"} {
+		sp, ok := byName[name]
+		if !ok {
+			t.Fatalf("trace lacks %s: %+v", name, tr.Spans)
+		}
+		if i == 0 && sp.StartUS < prevEnd {
+			t.Errorf("queue_wait starts at %dus, before the store lookup ended at %dus", sp.StartUS, prevEnd)
+		}
+		if i > 0 && sp.StartUS != prevEnd {
+			t.Errorf("%s starts at %dus, want %dus where the previous phase ended", name, sp.StartUS, prevEnd)
+		}
+		if sp.DurUS < 0 || sp.DurUS != jobDurs[i] {
+			t.Errorf("%s lasts %dus, want the job's %dus", name, sp.DurUS, jobDurs[i])
+		}
+		prevEnd = sp.StartUS + sp.DurUS
+	}
+	if byName["simulate"].DurUS < 1000 {
+		t.Errorf("simulate lasts %dus, want >= 1000 (the stub sleeps 1ms)", byName["simulate"].DurUS)
+	}
+	if prevEnd > tr.DurUS {
+		t.Errorf("store_write ends at %dus, after the request's %dus", prevEnd, tr.DurUS)
+	}
+}

@@ -98,11 +98,7 @@ func (s *swState) arriveTxn(in topology.LinkID, t *txn) {
 	// Case 1 of the slack recurrence: entering the switch, the
 	// transaction moves past the tokens waiting on its input port, making
 	// it earlier in logical time; slack increases to hold OT invariant.
-	tokens := s.tokens[s.net.links[in].inPos]
-	if s.net.cfg.Trace {
-		t.dbg.hist = append(t.dbg.hist, fmt.Sprintf("sw%d entry in=%d +%d -> %d @%v", s.id, in, tokens, t.slack+tokens, s.net.k.Now()))
-	}
-	t.slack += tokens
+	t.slack += s.tokens[s.net.links[in].inPos]
 
 	branches := s.routes[t.src]
 	if branches == nil {
@@ -148,12 +144,7 @@ func (s *swState) depart(e *bufEntry) {
 		mask:    e.mask,
 		payload: e.payload,
 		sent:    e.sent,
-	}
-	if e.dbg != nil {
-		out.dbg = &txnDebug{ot: e.dbg.ot, cell: e.dbg.cell}
-		if s.net.cfg.Trace {
-			out.dbg.hist = append(append([]string{}, e.dbg.hist...), fmt.Sprintf("sw%d depart link=%d slack=%d dD=%d -> %d @%v", s.id, e.branch.Link, e.slack, e.branch.DeltaD, out.slack, s.net.k.Now()))
-		}
+		dbg:     e.dbg,
 	}
 	if out.slack < 0 {
 		panic(fmt.Sprintf("tsnet: switch %d departing with negative slack %d", s.id, out.slack))
@@ -221,7 +212,7 @@ func (s *swState) servePort(link topology.LinkID) {
 		p.Span(obs.SpanBufferDwell, -int32(s.id)-1, obs.NetLane(obs.SpanBufferDwell),
 			int32(e.src), e.seq, int64(e.enq), int64(s.net.k.Now()-e.enq))
 	}
-	s.nextFree[pos] = s.net.k.Now() + s.net.cfg.SerTime
+	s.nextFree[pos] = s.net.k.Now() + s.net.cfg.Params.Dswitch
 	s.depart(&e)
 	// The buffer shrank: a stalled propagation may now be possible.
 	s.tryPropagate()
